@@ -1,7 +1,7 @@
 /**
  * @file
  * SA hot-path throughput: candidates evaluated per second, the number
- * every search-stage speedup ultimately cashes out as. Tracks four
+ * every search-stage speedup ultimately cashes out as. Tracks five
  * configurations of the DLSA inner loop —
  *
  *   legacy        mutate + EvaluateSchedule (the pre-refactor shape:
@@ -23,8 +23,8 @@
  * + EvaluateLfa's windowed delta timeline against the committed base),
  * with cross-check passes asserting incremental parses bit-identical
  * to full parses and delta evaluations bit-identical to full
- * simulations. CI gates lfa/incremental >= 2x lfa/legacy and
- * lfa/delta >= 2x lfa/incremental.
+ * simulations. CI gates lfa/incremental >= 2x lfa/legacy,
+ * lfa/delta >= 2x lfa/legacy and dlsa/delta >= 4x dlsa/legacy.
  *
  * An observability section replays the incremental walk with the
  * SOMA_PROF_SCOPE hot-path hooks disabled (the default) and enabled

@@ -1,7 +1,10 @@
 #include "api/request.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "common/hash.h"
 #include "obs/clock.h"
@@ -32,64 +35,43 @@ ParseSearchProfile(const std::string &name, SearchProfile *out)
 namespace {
 
 bool
-TypeError(std::string *err, const std::string &key, const char *want)
+FieldError(std::string *err, const std::string &key, const std::string &what)
 {
-    if (err) *err = "field \"" + key + "\" must be " + want;
+    if (err) *err = "field \"" + key + "\" must be " + what;
     return false;
 }
 
 bool
 ExpectNumber(const Json &v, const std::string &key, std::string *err)
 {
-    return v.IsNumber() ? true : TypeError(err, key, "a number");
+    return v.IsNumber() ? true : FieldError(err, key, "a number");
 }
 
 bool
 ExpectString(const Json &v, const std::string &key, std::string *err)
 {
-    return v.IsString() ? true : TypeError(err, key, "a string");
+    return v.IsString() ? true : FieldError(err, key, "a string");
 }
 
 bool
 ExpectBool(const Json &v, const std::string &key, std::string *err)
 {
-    return v.IsBool() ? true : TypeError(err, key, "a boolean");
+    return v.IsBool() ? true : FieldError(err, key, "a boolean");
 }
 
-// Sanity bound for counts (batch, chains, threads, rows): large enough
-// for any real request, small enough to catch garbage numerics.
-constexpr std::int64_t kMaxCount = 1000000;
-
+/** An integer-valued number into a signed field, saturated at the
+ *  field type's limits so Validate() names out-of-range values. */
+template <typename T>
 bool
-RangeError(std::string *err, const std::string &key, const char *range)
+IntegerFromJson(const Json &v, const std::string &key, T *out,
+                std::string *err)
 {
-    if (err) *err = "field \"" + key + "\" must be " + range;
-    return false;
-}
-
-/** Number in [@p lo, kMaxCount], range-checked before narrowing. */
-bool
-CountFromJson(const Json &value, const std::string &key, std::int64_t lo,
-              int *out, std::string *err)
-{
-    if (!ExpectNumber(value, key, err)) return false;
-    const std::int64_t v = value.AsInt();
-    if (v < lo || v > kMaxCount)
-        return RangeError(err, key,
-                          lo == 0 ? "in [0, 1000000]" : "in [1, 1000000]");
-    *out = static_cast<int>(v);
-    return true;
-}
-
-bool
-FiniteFromJson(const Json &value, const std::string &key, double *out,
-               std::string *err)
-{
-    if (!ExpectNumber(value, key, err)) return false;
-    const double v = value.AsDouble();
-    if (!std::isfinite(v) || v < 0)
-        return RangeError(err, key, "a non-negative finite number");
-    *out = v;
+    const double d = v.AsDouble();
+    if (!v.IsNumber() || !std::isfinite(d) || d != std::floor(d))
+        return FieldError(err, key, "an integer");
+    *out = static_cast<T>(std::clamp<std::int64_t>(
+        v.AsInt(), std::numeric_limits<T>::min(),
+        std::numeric_limits<T>::max()));
     return true;
 }
 
@@ -97,7 +79,7 @@ bool
 ArtifactsFromJson(const Json &json, ArtifactRequest *out, std::string *err)
 {
     if (!json.IsObject())
-        return TypeError(err, "artifacts", "an object");
+        return FieldError(err, "artifacts", "an object");
     for (const auto &[key, value] : json.items()) {
         if (key == "ir") {
             if (!ExpectBool(value, key, err)) return false;
@@ -112,8 +94,8 @@ ArtifactsFromJson(const Json &json, ArtifactRequest *out, std::string *err)
             if (!ExpectBool(value, key, err)) return false;
             out->execution_graph = value.AsBool();
         } else if (key == "execution_graph_rows") {
-            if (!CountFromJson(value, key, 0, &out->execution_graph_rows,
-                               err))
+            if (!IntegerFromJson(value, key, &out->execution_graph_rows,
+                                 err))
                 return false;
         } else {
             if (err) *err = "unknown artifacts field \"" + key + "\"";
@@ -183,19 +165,16 @@ ScheduleRequest::FromJson(const Json &json, ScheduleRequest *out,
                        "with a registered name";
             return false;
         } else if (key == "batch") {
-            if (!CountFromJson(value, key, 1, &out->batch, err))
-                return false;
+            if (!IntegerFromJson(value, key, &out->batch, err)) return false;
         } else if (key == "hardware") {
             if (!ExpectString(value, key, err)) return false;
             out->hardware = value.AsString();
         } else if (key == "gbuf_bytes") {
-            if (!ExpectNumber(value, key, err)) return false;
-            out->gbuf_bytes = value.AsInt();
-            if (out->gbuf_bytes < 0)
-                return RangeError(err, key, "a non-negative integer");
-        } else if (key == "dram_gbps") {
-            if (!FiniteFromJson(value, key, &out->dram_gbps, err))
+            if (!IntegerFromJson(value, key, &out->gbuf_bytes, err))
                 return false;
+        } else if (key == "dram_gbps") {
+            if (!ExpectNumber(value, key, err)) return false;
+            out->dram_gbps = value.AsDouble();
         } else if (key == "memory_model") {
             if (!ExpectString(value, key, err)) return false;
             out->memory_model = value.AsString();
@@ -211,28 +190,27 @@ ScheduleRequest::FromJson(const Json &json, ScheduleRequest *out,
                 return false;
             }
         } else if (key == "seed") {
-            if (!ExpectNumber(value, key, err)) return false;
-            if (value.AsDouble() < 0)
-                return RangeError(err, key, "a non-negative integer");
+            // The double view of an exact u64 rounds to at most 2^64.
+            const double d = value.AsDouble();
+            if (!value.IsNumber() || d < 0 || d != std::floor(d) ||
+                d > 0x1p64)
+                return FieldError(err, key, "a non-negative integer");
             out->seed = value.AsU64();
         } else if (key == "cost_n") {
-            if (!FiniteFromJson(value, key, &out->cost_n, err))
-                return false;
+            if (!ExpectNumber(value, key, err)) return false;
+            out->cost_n = value.AsDouble();
         } else if (key == "cost_m") {
-            if (!FiniteFromJson(value, key, &out->cost_m, err))
-                return false;
+            if (!ExpectNumber(value, key, err)) return false;
+            out->cost_m = value.AsDouble();
         } else if (key == "chains") {
-            if (!CountFromJson(value, key, 0, &out->chains, err))
+            if (!IntegerFromJson(value, key, &out->chains, err))
                 return false;
         } else if (key == "threads") {
-            if (!CountFromJson(value, key, 0, &out->threads, err))
+            if (!IntegerFromJson(value, key, &out->threads, err))
                 return false;
         } else if (key == "deadline_ms") {
-            if (!ExpectNumber(value, key, err)) return false;
-            const std::int64_t v = value.AsInt();
-            if (v < 0 || v > 86400000)  // a day, in ms
-                return RangeError(err, key, "in [0, 86400000]");
-            out->deadline_ms = static_cast<int>(v);
+            if (!IntegerFromJson(value, key, &out->deadline_ms, err))
+                return false;
         } else if (key == "artifacts") {
             if (!ArtifactsFromJson(value, &out->artifacts, err))
                 return false;
@@ -240,6 +218,40 @@ ScheduleRequest::FromJson(const Json &json, ScheduleRequest *out,
             if (err) *err = "unknown request field \"" + key + "\"";
             return false;
         }
+    }
+    return out->Validate(err);
+}
+
+bool
+ScheduleRequest::Validate(std::string *err) const
+{
+    // Count bounds: large enough for any real request, small enough to
+    // catch garbage numerics.
+    struct Count {
+        const char *key;
+        std::int64_t value, lo, hi;
+    };
+    const Count counts[] = {
+        {"batch", batch, 1, 1000000},
+        {"chains", chains, 0, 1000000},
+        {"threads", threads, 0, 1000000},
+        {"deadline_ms", deadline_ms, 0, 86400000},  // a day, in ms
+        {"execution_graph_rows", artifacts.execution_graph_rows, 0,
+         1000000},
+    };
+    for (const Count &c : counts) {
+        if (c.value < c.lo || c.value > c.hi)
+            return FieldError(err, c.key,
+                              "in [" + std::to_string(c.lo) + ", " +
+                                  std::to_string(c.hi) + "]");
+    }
+    if (gbuf_bytes < 0)
+        return FieldError(err, "gbuf_bytes", "a non-negative integer");
+    const std::pair<const char *, double> reals[] = {
+        {"dram_gbps", dram_gbps}, {"cost_n", cost_n}, {"cost_m", cost_m}};
+    for (const auto &[key, v] : reals) {
+        if (!std::isfinite(v) || v < 0)
+            return FieldError(err, key, "a non-negative finite number");
     }
     return true;
 }

@@ -169,9 +169,23 @@ struct ScheduleRequest {
     obs::Tracer *trace = nullptr;
 
     Json ToJson() const;
-    /** Strict: unknown keys and type mismatches are errors. */
+    /**
+     * The one decoder from outside values: type decoding only (unknown
+     * keys, type mismatches and fractional values for integer fields
+     * are errors), then Validate() on the decoded request.
+     */
     static bool FromJson(const Json &json, ScheduleRequest *out,
                          std::string *err);
+
+    /**
+     * The one range check: counts (batch, chains, threads, deadline_ms,
+     * execution_graph_rows) within their bounds, gbuf_bytes >= 0 and
+     * finite non-negative dram_gbps / cost_n / cost_m. FromJson,
+     * Scheduler::Schedule/Submit and SchedulerService::Schedule all run
+     * it before any search, so an invalid request is rejected the same
+     * way everywhere: false, with @p err (if non-null) naming the field.
+     */
+    bool Validate(std::string *err) const;
 
     /**
      * The request's identity as JSON: ToJson() minus the fields that

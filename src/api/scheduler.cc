@@ -263,7 +263,7 @@ Scheduler::WorkerLoop()
             EchoRequest(job->request, &result);
         } else {
             ScheduleRequest req = job->request;
-            if (req.threads <= 0) req.threads = granted_threads;
+            if (req.threads == 0) req.threads = granted_threads;
             // The job's flag is the one Cancel() sets; it reaches the
             // search loops through SomaOptionsForRequest.
             req.cancel = &job->cancelled;
@@ -326,9 +326,12 @@ Scheduler::RunPipeline(const ScheduleRequest &original, JobId id,
         return cancelled && cancelled->load(std::memory_order_relaxed);
     };
 
+    // An invalid request fails before any work, naming the field.
+    std::string err;
+    if (!request.Validate(&err)) return fail(err);
+
     // ---- build: resolve workload, hardware point and strategy.
     progress("build");
-    std::string err;
     std::shared_ptr<const Graph> graph = request.graph;
     if (!graph) {
         Graph built;

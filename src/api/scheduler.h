@@ -74,7 +74,9 @@ class Scheduler {
     SchedulerRegistry &schedulers() { return schedulers_; }
     MemoryModelRegistry &memory_models() { return memory_models_; }
 
-    /** Run @p request to completion in the calling thread. */
+    /** Run @p request to completion in the calling thread. A request
+     *  that fails ScheduleRequest::Validate() (here or under Submit)
+     *  comes back ok=false with the field's message, unsearched. */
     ScheduleResult Schedule(const ScheduleRequest &request);
 
     /** Enqueue @p request; returns immediately. Workers are started

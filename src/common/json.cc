@@ -108,7 +108,10 @@ Json::AsU64(std::uint64_t dflt) const
 {
     if (type_ != Type::kNumber) return dflt;
     if (exact_u64_) return u64_;
-    return num_ < 0 ? dflt : static_cast<std::uint64_t>(num_);
+    if (!(num_ >= 0)) return dflt;  // negative or NaN
+    // Saturate like AsInt: 2^64 is the first double the cast cannot
+    // express.
+    return num_ >= 0x1p64 ? UINT64_MAX : static_cast<std::uint64_t>(num_);
 }
 
 const std::string &

@@ -25,7 +25,8 @@ TryDeserialize(const std::string &text, ScheduleResult *out,
     return ScheduleResult::FromJson(json, out, err);
 }
 
-/** An aborted-while-waiting result with the usual request echo. */
+/** A result that ran no pipeline (invalid, or aborted while waiting),
+ *  with the usual request echo. */
 ScheduleResult
 AbortedResult(const ScheduleRequest &request, std::string error,
               bool deadline_expired)
@@ -43,46 +44,6 @@ AbortedResult(const ScheduleRequest &request, std::string error,
 }
 
 }  // namespace
-
-Json
-ServiceStats::ToJson() const
-{
-    Json json = Json::Object();
-    json.Set("requests", Json::U64(requests));
-    json.Set("coalesced", Json::U64(coalesced));
-    json.Set("searches", Json::U64(searches));
-    json.Set("uncacheable", Json::U64(uncacheable));
-    json.Set("errors", Json::U64(errors));
-    json.Set("negative_hits", Json::U64(negative_hits));
-    Json rc = Json::Object();
-    rc.Set("hits", Json::U64(result_cache.hits));
-    rc.Set("misses", Json::U64(result_cache.misses));
-    rc.Set("evictions", Json::U64(result_cache.evictions));
-    rc.Set("insertions", Json::U64(result_cache.insertions));
-    rc.Set("disk_hits", Json::U64(result_cache.disk_hits));
-    rc.Set("disk_writes", Json::U64(result_cache.disk_writes));
-    rc.Set("version_mismatches",
-           Json::U64(result_cache.version_mismatches));
-    json.Set("result_cache", std::move(rc));
-    Json gc = Json::Object();
-    gc.Set("hits", Json::U64(graph_cache.hits));
-    gc.Set("misses", Json::U64(graph_cache.misses));
-    gc.Set("evictions", Json::U64(graph_cache.evictions));
-    json.Set("graph_cache", std::move(gc));
-    Json ws = Json::Object();
-    ws.Set("acquires", Json::U64(warm_state.acquires));
-    ws.Set("hits", Json::U64(warm_state.hits));
-    ws.Set("misses", Json::U64(warm_state.misses));
-    ws.Set("evictions", Json::U64(warm_state.evictions));
-    ws.Set("tiling_hits", Json::U64(warm_state.tiling_hits));
-    ws.Set("tiling_misses", Json::U64(warm_state.tiling_misses));
-    ws.Set("tiling_remaps", Json::U64(warm_state.tiling_remaps));
-    ws.Set("tiling_entries", Json::U64(warm_state.tiling_entries));
-    ws.Set("tile_cost_entries", Json::U64(warm_state.tile_cost_entries));
-    ws.Set("approx_bytes", Json::U64(warm_state.approx_bytes));
-    json.Set("warm_state", std::move(ws));
-    return json;
-}
 
 void
 ServiceStats::ExportTo(obs::MetricsRegistry &registry) const
@@ -156,6 +117,16 @@ SchedulerService::Schedule(const ScheduleRequest &request,
                            std::string *result_json)
 {
     counters_.requests.fetch_add(1, std::memory_order_relaxed);
+
+    // An invalid request never reaches the fingerprint: no search, no
+    // result-cache or error-memo entry.
+    std::string invalid;
+    if (!request.Validate(&invalid)) {
+        ScheduleResult result =
+            AbortedResult(request, std::move(invalid), false);
+        if (result_json) *result_json = result.ToJson().Dump(2);
+        return result;
+    }
 
     // Inline graphs have no faithful fingerprint (only their name
     // serializes); run them straight through the facade.

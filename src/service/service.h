@@ -107,7 +107,7 @@ struct ServiceOptions {
 
 /** Service-level counters plus the embedded cache stats. A stats()
  *  snapshot of the service's internal atomic counters — `somac sweep
- *  --stats` serializes this via ToJson(). */
+ *  --stats` exports it via ExportTo(). */
 struct ServiceStats {
     std::uint64_t requests = 0;     ///< Schedule() calls
     std::uint64_t coalesced = 0;    ///< joined an in-flight sibling
@@ -118,8 +118,6 @@ struct ServiceStats {
     ResultCache::Stats result_cache;
     GraphCache::Stats graph_cache;
     WarmStateCache::Stats warm_state;
-
-    Json ToJson() const;  ///< the nested (legacy in-process) schema
 
     /**
      * Export this snapshot into @p registry as absolute-value counters
@@ -142,8 +140,11 @@ class SchedulerService {
     Scheduler &scheduler() { return scheduler_; }
 
     /**
-     * Serve @p request: result cache, then in-flight coalescing, then
-     * one real pipeline run (warm-started from the warm-state cache).
+     * Serve @p request: validation, result cache, then in-flight
+     * coalescing, then one real pipeline run (warm-started from the
+     * warm-state cache). A request failing
+     * ScheduleRequest::Validate() returns ok=false with the field's
+     * message and touches no cache.
      * Thread-safe; concurrent callers with the same fingerprint share
      * one search. When @p result_json is given it receives the
      * request's serialized result text — for cached and coalesced

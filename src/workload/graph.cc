@@ -1,6 +1,5 @@
 #include "workload/graph.h"
 
-#include <cassert>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -11,39 +10,24 @@ LayerId
 Graph::AddLayer(Layer layer)
 {
     LayerId id = static_cast<LayerId>(layers_.size());
-    for (const InputRef &in : layer.inputs()) {
-        if (in.producer != kNoLayer) {
-            assert(in.producer >= 0 && in.producer < id &&
-                   "graph layers must be appended in topological order");
+    consumers_.emplace_back();
+    const auto &ins = layer.inputs();
+    for (int k = 0; k < static_cast<int>(ins.size()); ++k) {
+        if (ins[k].producer == kNoLayer) continue;
+        if (ins[k].producer < 0 || ins[k].producer >= id) {
+            SOMA_ERROR << "layer " << layer.name()
+                       << " must be appended after its producers";
+            std::abort();
         }
+        consumers_[ins[k].producer].push_back(Edge{ins[k].producer, id, k});
     }
     layers_.push_back(std::move(layer));
-    InvalidateCaches();
     return id;
-}
-
-void
-Graph::InvalidateCaches()
-{
-    consumers_valid_ = false;
 }
 
 const std::vector<Edge> &
 Graph::Consumers(LayerId id) const
 {
-    if (!consumers_valid_) {
-        consumers_.assign(layers_.size(), {});
-        for (LayerId c = 0; c < NumLayers(); ++c) {
-            const auto &ins = layers_[c].inputs();
-            for (int k = 0; k < static_cast<int>(ins.size()); ++k) {
-                if (ins[k].producer != kNoLayer) {
-                    consumers_[ins[k].producer].push_back(
-                        Edge{ins[k].producer, c, k});
-                }
-            }
-        }
-        consumers_valid_ = true;
-    }
     return consumers_[id];
 }
 

@@ -48,7 +48,9 @@ class Graph {
     const Layer &layer(LayerId id) const { return layers_[id]; }
     Layer &layer(LayerId id) { return layers_[id]; }
 
-    /** All consumer edges of @p id (built lazily, cached). */
+    /** All consumer edges of @p id, in (consumer, input slot) order.
+     *  Built eagerly by AddLayer, so concurrent readers of a finished
+     *  graph share no mutable state. */
     const std::vector<Edge> &Consumers(LayerId id) const;
 
     /** All edges of the graph (producer >= 0 only). */
@@ -75,13 +77,10 @@ class Graph {
     Bytes TotalFmapBytes() const;
 
   private:
-    void InvalidateCaches();
-
     std::string name_;
     int batch_ = 1;
     std::vector<Layer> layers_;
-    mutable std::vector<std::vector<Edge>> consumers_;  ///< lazy cache
-    mutable bool consumers_valid_ = false;
+    std::vector<std::vector<Edge>> consumers_;  ///< indexed by producer
 };
 
 }  // namespace soma

@@ -8,13 +8,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "api/scheduler.h"
 #include "search/soma.h"
+#include "service/service.h"
 #include "workload/graph_builder.h"
 
 namespace soma {
@@ -181,36 +184,107 @@ TEST(RequestJson, UnknownFieldsAndInlineGraphsAreRejected)
 
 TEST(RequestJson, GarbageNumericsAreRejectedNotTruncated)
 {
-    ScheduleRequest request;
-    std::string err;
+    // One table, every entry point: the request JSON decoder, the
+    // facade's Schedule and Submit/Wait, and the service. Each rejects
+    // the value before any search with one message naming the field.
+    struct Bad {
+        const char *field;
+        Json value;  ///< set on the request JSON at `field`
+        /** The same value in-process; null where the C++ field type
+         *  cannot hold it (fractions, negative seeds, saturation). */
+        std::function<void(ScheduleRequest *)> set;
+    };
+    const Bad table[] = {
+        {"batch", Json::Int(-3), [](ScheduleRequest *r) { r->batch = -3; }},
+        {"batch", Json::Number(2.5), nullptr},
+        {"batch", Json::Number(1e300), nullptr},
+        {"batch", Json::Int(0), [](ScheduleRequest *r) { r->batch = 0; }},
+        {"gbuf_bytes", Json::Int(-1),
+         [](ScheduleRequest *r) { r->gbuf_bytes = -1; }},
+        {"gbuf_bytes", Json::Number(1.5), nullptr},
+        {"dram_gbps", Json::Number(-5),
+         [](ScheduleRequest *r) { r->dram_gbps = -5; }},
+        {"dram_gbps", Json::Number(-16), nullptr},
+        {"cost_n", Json::Number(std::nan("")),
+         [](ScheduleRequest *r) { r->cost_n = std::nan(""); }},
+        {"cost_m", Json::Number(INFINITY),
+         [](ScheduleRequest *r) { r->cost_m = INFINITY; }},
+        {"deadline_ms", Json::Int(-1),
+         [](ScheduleRequest *r) { r->deadline_ms = -1; }},
+        {"execution_graph_rows", Json::Int(-2),
+         [](ScheduleRequest *r) { r->artifacts.execution_graph_rows = -2; }},
+        {"seed", Json::Int(-3), nullptr},
+        {"seed", Json::Number(2.5), nullptr},
+        {"chains", Json::Int(2000000),
+         [](ScheduleRequest *r) { r->chains = 2000000; }},
+        {"threads", Json::Int(-1),
+         [](ScheduleRequest *r) { r->threads = -1; }},
+    };
 
-    Json json;
-    ASSERT_TRUE(Json::Parse("{\"model\": \"resnet50\", \"batch\": 1e300}",
-                            &json, &err));
-    EXPECT_FALSE(ScheduleRequest::FromJson(json, &request, &err));
-    EXPECT_NE(err.find("batch"), std::string::npos);
+    SchedulerService service;
+    service.scheduler().models().Register(
+        "tinynet", [](int) { return *TinyNet(); });
+    Scheduler scheduler;
+    scheduler.models().Register("tinynet",
+                                [](int) { return *TinyNet(); });
 
-    ASSERT_TRUE(Json::Parse("{\"model\": \"resnet50\", \"batch\": 0}",
-                            &json, &err));
-    EXPECT_FALSE(ScheduleRequest::FromJson(json, &request, &err));
+    for (const Bad &bad : table) {
+        SCOPED_TRACE(std::string(bad.field) + " = " + bad.value.Dump());
+        Json json = Json::Object();
+        json.Set("model", Json::Str("tinynet"));
+        if (std::string(bad.field) == "execution_graph_rows") {
+            Json arts = Json::Object();
+            arts.Set(bad.field, bad.value);
+            json.Set("artifacts", std::move(arts));
+        } else {
+            json.Set(bad.field, bad.value);
+        }
+        ScheduleRequest decoded;
+        std::string err;
+        EXPECT_FALSE(ScheduleRequest::FromJson(json, &decoded, &err));
+        EXPECT_NE(err.find("\"" + std::string(bad.field) + "\""),
+                  std::string::npos)
+            << err;
+        if (!bad.set) continue;
 
-    ASSERT_TRUE(Json::Parse("{\"model\": \"resnet50\", \"seed\": -3}",
-                            &json, &err));
-    EXPECT_FALSE(ScheduleRequest::FromJson(json, &request, &err));
-    EXPECT_NE(err.find("seed"), std::string::npos);
+        ScheduleRequest request;
+        request.model = "tinynet";
+        bad.set(&request);
+        std::string why;
+        EXPECT_FALSE(request.Validate(&why));
+        EXPECT_EQ(why, err);
 
-    ASSERT_TRUE(Json::Parse(
-        "{\"model\": \"resnet50\", \"dram_gbps\": -16}", &json, &err));
-    EXPECT_FALSE(ScheduleRequest::FromJson(json, &request, &err));
+        const ScheduleResult sync = scheduler.Schedule(request);
+        EXPECT_FALSE(sync.ok);
+        EXPECT_EQ(sync.error, err);
+        EXPECT_EQ(sync.stats.iterations, 0);
+        const ScheduleResult async = scheduler.Wait(scheduler.Submit(request));
+        EXPECT_FALSE(async.ok);
+        EXPECT_EQ(async.error, err);
 
-    ASSERT_TRUE(Json::Parse(
-        "{\"model\": \"resnet50\", \"chains\": 2000000}", &json, &err));
-    EXPECT_FALSE(ScheduleRequest::FromJson(json, &request, &err));
+        const ServiceStats before = service.stats();
+        const std::size_t cached = service.result_cache().size();
+        const ScheduleResult served = service.Schedule(request);
+        EXPECT_FALSE(served.ok);
+        EXPECT_EQ(served.error, err);
+        EXPECT_EQ(service.stats().searches, before.searches);
+        EXPECT_EQ(service.result_cache().size(), cached);
+    }
+    // Nor an error-memo entry: the threads and deadline_ms rows share
+    // this valid request's fingerprint (neither field is part of it),
+    // and it still runs a real search.
+    ScheduleRequest valid;
+    valid.model = "tinynet";
+    EXPECT_TRUE(service.Schedule(valid).ok);
+    EXPECT_EQ(service.stats().searches, 1u);
+    EXPECT_EQ(service.stats().negative_hits, 0u);
 
-    // AsInt saturates instead of invoking UB on out-of-range values.
+    // AsInt / AsU64 saturate instead of invoking UB on out-of-range
+    // values.
     EXPECT_EQ(Json::Number(1e300).AsInt(), INT64_MAX);
     EXPECT_EQ(Json::Number(-1e300).AsInt(), INT64_MIN);
     EXPECT_EQ(Json::U64(~0ULL).AsInt(), INT64_MAX);
+    EXPECT_EQ(Json::Number(1e300).AsU64(), UINT64_MAX);
 }
 
 TEST(ResultJson, RoundTripIsBitExactOnLatencyAndEnergy)

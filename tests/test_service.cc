@@ -4,8 +4,8 @@
  * order and QoS-field invariance), the ResultCache LRU + persistence,
  * the GraphCache, in-flight coalescing, the cache-determinism contract
  * (cached result == recomputed result, byte for byte), deadline
- * truncation, and the iteration-granular cooperative cancellation that
- * backs Cancel()/deadline_ms.
+ * truncation, the iteration-granular cooperative cancellation that
+ * backs Cancel()/deadline_ms, and the sweep grid-spec expansion.
  */
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include "common/hash.h"
 #include "search/sa.h"
 #include "service/service.h"
+#include "service/sweep.h"
 #include "workload/graph_builder.h"
 
 namespace soma {
@@ -838,6 +839,72 @@ TEST(Cancellation, SyncScheduleCancelsMidSearch)
     EXPECT_EQ(cancelled.error, "cancelled");
     EXPECT_FALSE(cancelled.deadline_expired);
     EXPECT_LT(cancelled.stats.iterations, full.stats.iterations);
+}
+
+TEST(Sweep, AllAxesExpansionOrderAndFingerprintsArePinned)
+{
+    // Every axis, nested models > batches > hardware > gbuf_mb >
+    // dram_gbps > schedulers > profiles > seeds. The pinned hash covers
+    // the fingerprints in expansion order; it was recorded from the
+    // hand-nested expansion this odometer replaced.
+    Json spec;
+    std::string err;
+    ASSERT_TRUE(Json::Parse(R"({
+        "base": {"profile": "quick", "cost_n": 2, "chains": 3,
+                 "threads": 2, "artifacts": {"ir": true}},
+        "models": ["resnet50", "randwire"], "batches": [1, 4],
+        "hardware": ["edge", "cloud"], "gbuf_mb": [0, 0.5, 1.3],
+        "dram_gbps": [0, 12.5], "schedulers": ["soma", "cocco"],
+        "profiles": ["quick", "default"],
+        "seeds": [1, 7, 123456789012345678]})",
+                            &spec, &err))
+        << err;
+    std::vector<ScheduleRequest> requests;
+    ASSERT_TRUE(ExpandSweepSpec(spec, &requests, &err)) << err;
+    ASSERT_EQ(requests.size(), 576u);
+    std::string fingerprints;
+    for (const ScheduleRequest &r : requests)
+        fingerprints += HexU64(r.Fingerprint()) + "\n";
+    EXPECT_EQ(HexU64(Fnv1a64(fingerprints)), "a04f4d19cc33c673");
+    EXPECT_EQ(HexU64(requests.front().Fingerprint()), "8c725d8dd0e89220");
+
+    // The last point: every axis at its last value, gbuf_mb 1.3 as
+    // whole bytes, the base fields carried through.
+    const ScheduleRequest &last = requests.back();
+    EXPECT_EQ(HexU64(last.Fingerprint()), "f117c71d8820f255");
+    EXPECT_EQ(last.model, "randwire");
+    EXPECT_EQ(last.batch, 4);
+    EXPECT_EQ(last.hardware, "cloud");
+    EXPECT_EQ(last.gbuf_bytes, 1363148);
+    EXPECT_EQ(last.dram_gbps, 12.5);
+    EXPECT_EQ(last.scheduler, "cocco");
+    EXPECT_EQ(last.profile, SearchProfile::kDefault);
+    EXPECT_EQ(last.seed, 123456789012345678ULL);
+    EXPECT_EQ(last.threads, 2);
+    EXPECT_TRUE(last.artifacts.ir);
+}
+
+TEST(Sweep, PointsAreDecodedByTheRequestDecoder)
+{
+    // Axis values and the base obey the request JSON's rules, and the
+    // error names the request field.
+    const char *bad[][2] = {
+        {R"({"base": {"model": "m"}, "batches": [2.5]})", "\"batch\""},
+        {R"({"base": {"model": "m", "batch": 2.5}})", "\"batch\""},
+        {R"({"base": {"model": "m"}, "gbuf_mb": [-1]})", "\"gbuf_bytes\""},
+        {R"({"base": {"model": "m"}, "seeds": [-1]})", "\"seed\""},
+        {R"({"base": {"model": "m"}, "profiles": ["fast"]})", "\"fast\""},
+        {R"({"base": {"model": "m"}, "models": "m"})", "\"models\""},
+        {R"({"base": {"model": "m"}, "sedes": [1]})", "\"sedes\""},
+    };
+    for (const auto &[text, field] : bad) {
+        Json spec;
+        std::string err;
+        ASSERT_TRUE(Json::Parse(text, &spec, &err)) << err;
+        std::vector<ScheduleRequest> requests;
+        EXPECT_FALSE(ExpandSweepSpec(spec, &requests, &err)) << text;
+        EXPECT_NE(err.find(field), std::string::npos) << err;
+    }
 }
 
 }  // namespace

@@ -5,9 +5,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <tuple>
+#include <vector>
+
 #include "workload/graph.h"
 #include "workload/graph_builder.h"
 #include "workload/layer.h"
+#include "workload/models.h"
 #include "workload/region.h"
 
 namespace soma {
@@ -204,6 +211,39 @@ TEST(Graph, ConsumersAndEdges)
     EXPECT_EQ(g.Consumers(c2).size(), 1u);
     EXPECT_EQ(g.Consumers(add).size(), 0u);
     EXPECT_EQ(g.AllEdges().size(), 3u);
+}
+
+TEST(Graph, ConcurrentConsumersMatchAllEdges)
+{
+    // Several threads query a freshly built graph at once, as the
+    // service's concurrent searches do on a shared cached graph. Every
+    // thread must see exactly the graph's edges (and the sanitizer
+    // presets must see no race).
+    const Graph graph = BuildModelByName("randwire", 1);
+    using Key = std::tuple<LayerId, int, LayerId>;
+    std::vector<Key> want;
+    for (const Edge &e : graph.AllEdges())
+        want.emplace_back(e.consumer, e.input_index, e.producer);
+    std::sort(want.begin(), want.end());
+    ASSERT_FALSE(want.empty());
+
+    constexpr int kThreads = 4;
+    std::vector<std::vector<Key>> got(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> team;
+    for (int t = 0; t < kThreads; ++t) {
+        team.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) std::this_thread::yield();
+            for (LayerId id = 0; id < graph.NumLayers(); ++id)
+                for (const Edge &e : graph.Consumers(id))
+                    got[t].emplace_back(e.consumer, e.input_index,
+                                        e.producer);
+            std::sort(got[t].begin(), got[t].end());
+        });
+    }
+    for (std::thread &t : team) t.join();
+    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], want) << t;
 }
 
 TEST(Graph, ValidOrderChecks)

@@ -26,7 +26,6 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -43,6 +42,7 @@
 #include "obs/prof.h"
 #include "obs/trace.h"
 #include "service/service.h"
+#include "service/sweep.h"
 
 namespace {
 
@@ -67,29 +67,38 @@ Usage(std::ostream &os, int code)
           "  somac validate result.json\n"
           "  somac help\n"
           "\n"
-          "run overrides (flag form of the request JSON fields):\n"
-          "  --model NAME        workload (see `somac list models`)\n"
-          "  --batch N           batch size (default 1)\n"
-          "  --hw NAME           hardware preset (edge|cloud|custom)\n"
-          "  --gbuf-mb MB        override GBUF size\n"
-          "  --dram-gbps GBPS    override DRAM bandwidth\n"
-          "  --memory-model M    DRAM timing backend (analytical|banked;\n"
-          "                      see `somac list memory-models`)\n"
+          "run flags: each sets the request-JSON field it names,\n"
+          "over request.json (or {} without one); the result is decoded\n"
+          "and range-checked once, like any request JSON, so a bad\n"
+          "value fails before any search, naming the field:\n"
+          "  --model NAME        model (see `somac list models`)\n"
+          "  --batch N           batch, 1..1000000 (default 1)\n"
+          "  --hw NAME           hardware (edge|cloud|custom)\n"
+          "  --gbuf-mb MB        gbuf_bytes = MB x 2^20 (0 = preset)\n"
+          "  --dram-gbps GBPS    dram_gbps (0 = preset)\n"
+          "  --memory-model M    memory_model, the DRAM timing backend\n"
+          "                      (analytical|banked; see `somac list\n"
+          "                      memory-models`)\n"
+          "  --scheduler NAME    scheduler (soma|cocco|lfa-only)\n"
+          "  --profile P         profile (quick|default|full)\n"
+          "  --seed N            seed (default 1)\n"
+          "  --cost-n X --cost-m Y   cost_n, cost_m: objective\n"
+          "                      Energy^n x Delay^m\n"
+          "  --chains K          chains (SA chains; deterministic knob)\n"
+          "  --threads T         threads (driver threads; wall-clock)\n"
+          "  --deadline-ms N     deadline_ms (0 = none)\n"
+          "  --ir --asm --traces --exec-graph   artifacts.ir,\n"
+          "                      .instructions, .traces, .execution_graph\n"
+          "  --exec-graph-rows N  artifacts.execution_graph_rows (40)\n"
+          "\n"
+          "run flags that are not request fields (and -o, --outdir,\n"
+          "--trace, --stats, --quiet below):\n"
           "  --validate-memory   re-time the result under the banked\n"
           "                      replay and report the analytical-vs-\n"
           "                      banked latency gap (implied by\n"
           "                      --memory-model banked; metrics\n"
           "                      memory.validation_gap_pct + eval.dram.*\n"
           "                      land in --stats)\n"
-          "  --scheduler NAME    soma|cocco|lfa-only (default soma)\n"
-          "  --profile P         quick|default|full (default quick)\n"
-          "  --seed N            search seed (default 1)\n"
-          "  --cost-n X --cost-m Y   objective Energy^n x Delay^m\n"
-          "  --chains K          SA chains (deterministic knob)\n"
-          "  --threads T         driver threads (wall-clock only)\n"
-          "  --deadline-ms N     wall-clock budget (0 = none)\n"
-          "  --ir --asm --traces --exec-graph   request artifacts\n"
-          "  --exec-graph-rows N  execution-graph rows (default 40)\n"
           "\n"
           "-o/--out writes the result JSON (default: stdout);\n"
           "--outdir additionally writes artifacts as files\n"
@@ -108,7 +117,11 @@ Usage(std::ostream &os, int code)
           "  \"models\": [...], \"batches\": [...], \"hardware\": [...],\n"
           "  \"gbuf_mb\": [...], \"dram_gbps\": [...],\n"
           "  \"schedulers\": [...], \"profiles\": [...], \"seeds\": [...]}\n"
-          "Missing axes inherit the base request's value. The CSV table\n"
+          "Each axis sets one request field over the base (gbuf_mb as\n"
+          "gbuf_bytes = MB x 2^20); every grid point is decoded and\n"
+          "range-checked like a request JSON, and missing axes inherit\n"
+          "the base request's value. --memory-model M sets\n"
+          "memory_model on the base. The CSV table\n"
           "is deterministic: same spec + warm cache => identical bytes.\n"
           "--shard I/N keeps every N-th grid point starting at I\n"
           "(0 <= I < N) so N processes/machines can split one sweep;\n"
@@ -144,37 +157,6 @@ ParseIntArg(const std::string &flag, const std::string &text, int *out)
 }
 
 bool
-ParseU64Arg(const std::string &flag, const std::string &text,
-            std::uint64_t *out)
-{
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || !end || *end != '\0' || end == text.c_str()) {
-        std::cerr << flag << ": \"" << text
-                  << "\" is not an unsigned integer\n";
-        return false;
-    }
-    *out = v;
-    return true;
-}
-
-bool
-ParseDoubleArg(const std::string &flag, const std::string &text,
-               double *out)
-{
-    char *end = nullptr;
-    errno = 0;
-    double v = std::strtod(text.c_str(), &end);
-    if (errno != 0 || !end || *end != '\0' || end == text.c_str()) {
-        std::cerr << flag << ": \"" << text << "\" is not a number\n";
-        return false;
-    }
-    *out = v;
-    return true;
-}
-
-bool
 ReadFile(const std::string &path, std::string *out, std::string *err)
 {
     std::ifstream in(path, std::ios::binary);
@@ -199,6 +181,22 @@ WriteFile(const std::string &path, const std::string &content,
     }
     out << content;
     return static_cast<bool>(out);
+}
+
+/** Read and parse the JSON file at @p path; reports errors itself. */
+bool
+LoadJson(const std::string &path, Json *json)
+{
+    std::string text, err;
+    if (!ReadFile(path, &text, &err)) {
+        std::cerr << err << "\n";
+        return false;
+    }
+    if (!Json::Parse(text, json, &err)) {
+        std::cerr << path << ": " << err << "\n";
+        return false;
+    }
+    return true;
 }
 
 int
@@ -232,193 +230,159 @@ CmdList(const std::vector<std::string> &args)
     return 0;
 }
 
-/** Does this `somac run` flag consume the following argument? */
-bool
-FlagTakesValue(const std::string &flag)
+/** How a `somac run` request flag's value text becomes JSON. */
+enum class FlagKind {
+    kString,
+    kNumber,     ///< parsed as a JSON number
+    kBool,       ///< takes no value; sets true
+    kMegabytes,  ///< a number in MB, set as bytes (GbufMbToBytes)
+};
+
+/** A `somac run` flag and the request-JSON field (dotted path) it
+ *  sets. */
+struct RequestFlag {
+    const char *flag;
+    const char *path;
+    FlagKind kind;
+};
+
+constexpr RequestFlag kRequestFlags[] = {
+    {"--model", "model", FlagKind::kString},
+    {"--batch", "batch", FlagKind::kNumber},
+    {"--hw", "hardware", FlagKind::kString},
+    {"--hardware", "hardware", FlagKind::kString},
+    {"--gbuf-mb", "gbuf_bytes", FlagKind::kMegabytes},
+    {"--dram-gbps", "dram_gbps", FlagKind::kNumber},
+    {"--memory-model", "memory_model", FlagKind::kString},
+    {"--scheduler", "scheduler", FlagKind::kString},
+    {"--profile", "profile", FlagKind::kString},
+    {"--seed", "seed", FlagKind::kNumber},
+    {"--cost-n", "cost_n", FlagKind::kNumber},
+    {"--cost-m", "cost_m", FlagKind::kNumber},
+    {"--chains", "chains", FlagKind::kNumber},
+    {"--threads", "threads", FlagKind::kNumber},
+    {"--deadline-ms", "deadline_ms", FlagKind::kNumber},
+    {"--ir", "artifacts.ir", FlagKind::kBool},
+    {"--asm", "artifacts.instructions", FlagKind::kBool},
+    {"--traces", "artifacts.traces", FlagKind::kBool},
+    {"--exec-graph", "artifacts.execution_graph", FlagKind::kBool},
+    {"--exec-graph-rows", "artifacts.execution_graph_rows",
+     FlagKind::kNumber},
+};
+
+/** Set @p value at a dotted request-JSON @p path, creating the
+ *  intermediate object. */
+void
+SetPath(Json *json, const std::string &path, Json value)
 {
-    static const char *kValueFlags[] = {
-        "--model", "--batch", "--hw", "--hardware", "--gbuf-mb",
-        "--dram-gbps", "--memory-model", "--scheduler", "--profile",
-        "--seed", "--cost-n", "--cost-m", "--chains", "--threads",
-        "--deadline-ms", "--exec-graph-rows", "-o", "--out", "--outdir",
-        "--trace", "--stats"};
-    for (const char *f : kValueFlags)
-        if (flag == f) return true;
-    return false;
+    const std::size_t dot = path.find('.');
+    if (dot == std::string::npos) {
+        json->Set(path, std::move(value));
+        return;
+    }
+    const std::string head = path.substr(0, dot);
+    Json child = json->Find(head) ? *json->Find(head) : Json::Object();
+    SetPath(&child, path.substr(dot + 1), std::move(value));
+    json->Set(head, std::move(child));
 }
 
+/** The JSON value of @p flag given @p text (non-bool kinds). */
 bool
-IsBooleanFlag(const std::string &flag)
+FlagValue(const RequestFlag &flag, const std::string &text, Json *out)
 {
-    static const char *kBoolFlags[] = {"--ir", "--asm", "--traces",
-                                       "--exec-graph", "--quiet",
-                                       "--validate-memory"};
-    for (const char *f : kBoolFlags)
-        if (flag == f) return true;
-    return false;
+    if (flag.kind == FlagKind::kString) {
+        *out = Json::Str(text);
+        return true;
+    }
+    std::string err;
+    if (!Json::Parse(text, out, &err) || !out->IsNumber()) {
+        const std::string path = flag.path;
+        std::cerr << flag.flag << " \"" << text << "\": field \""
+                  << path.substr(path.rfind('.') + 1)
+                  << "\" must be a number\n";
+        return false;
+    }
+    if (flag.kind == FlagKind::kMegabytes) *out = GbufMbToBytes(*out);
+    return true;
 }
 
 int
 CmdRun(const std::vector<std::string> &args)
 {
-    ScheduleRequest request;
-    std::string out_path, outdir, trace_path, stats_path;
-    bool quiet = false;
-    bool have_request = false;
-
-    // Pass 1: load the positional request JSON (if any) first, so
-    // flags override its fields no matter where they appear.
+    std::string request_path, out_path, outdir, trace_path, stats_path;
+    bool quiet = false, validate_memory = false;
+    // Flag-set request fields, applied over the request JSON.
+    std::vector<std::pair<std::string, Json>> fields;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
-        if (!arg.empty() && arg[0] == '-') {
-            // Reject unknown flags here, before their values can be
-            // mistaken for the request-JSON path.
-            if (FlagTakesValue(arg)) {
-                ++i;
-            } else if (!IsBooleanFlag(arg)) {
-                std::cerr << "unknown flag " << arg << "\n";
+        if (arg.empty() || arg[0] != '-') {
+            if (!request_path.empty()) {
+                std::cerr << "more than one request JSON given (\"" << arg
+                          << "\")\n";
                 return 2;
             }
+            request_path = arg;
             continue;
         }
-        if (have_request) {
-            std::cerr << "more than one request JSON given (\"" << arg
-                      << "\")\n";
-            return 2;
-        }
-        std::string text, err;
-        if (!ReadFile(arg, &text, &err)) {
-            std::cerr << err << "\n";
-            return 2;
-        }
-        Json json;
-        if (!Json::Parse(text, &json, &err)) {
-            std::cerr << arg << ": " << err << "\n";
-            return 2;
-        }
-        if (!ScheduleRequest::FromJson(json, &request, &err)) {
-            std::cerr << arg << ": " << err << "\n";
-            return 2;
-        }
-        have_request = true;
-    }
-
-    // Pass 2: apply the flag overrides.
-    auto need_value = [&args](std::size_t i, const std::string &flag)
-        -> const std::string * {
-        if (i + 1 >= args.size()) {
-            std::cerr << flag << " needs a value\n";
-            return nullptr;
-        }
-        return &args[i + 1];
-    };
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        const std::string *v = nullptr;
-        if (arg.empty() || arg[0] != '-') {
-            continue;  // the request JSON, consumed by pass 1
-        } else if (arg == "--model") {
-            if (!(v = need_value(i, arg))) return 2;
-            request.model = *v, ++i;
-        } else if (arg == "--batch") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseIntArg(arg, *v, &request.batch)) return 2;
-            ++i;
-        } else if (arg == "--hw" || arg == "--hardware") {
-            if (!(v = need_value(i, arg))) return 2;
-            request.hardware = *v, ++i;
-        } else if (arg == "--gbuf-mb") {
-            if (!(v = need_value(i, arg))) return 2;
-            double mb = 0;
-            if (!ParseDoubleArg(arg, *v, &mb)) return 2;
-            request.gbuf_bytes = static_cast<Bytes>(mb * 1024 * 1024);
-            ++i;
-        } else if (arg == "--dram-gbps") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseDoubleArg(arg, *v, &request.dram_gbps)) return 2;
-            ++i;
-        } else if (arg == "--memory-model") {
-            if (!(v = need_value(i, arg))) return 2;
-            request.memory_model = *v, ++i;
-        } else if (arg == "--validate-memory") {
-            request.validate_memory = true;
-        } else if (arg == "--scheduler") {
-            if (!(v = need_value(i, arg))) return 2;
-            request.scheduler = *v, ++i;
-        } else if (arg == "--profile") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseSearchProfile(*v, &request.profile)) {
-                std::cerr << "unknown profile \"" << *v
-                          << "\" (quick|default|full)\n";
-                return 2;
-            }
-            ++i;
-        } else if (arg == "--seed") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseU64Arg(arg, *v, &request.seed)) return 2;
-            ++i;
-        } else if (arg == "--cost-n") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseDoubleArg(arg, *v, &request.cost_n)) return 2;
-            ++i;
-        } else if (arg == "--cost-m") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseDoubleArg(arg, *v, &request.cost_m)) return 2;
-            ++i;
-        } else if (arg == "--chains") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseIntArg(arg, *v, &request.chains)) return 2;
-            ++i;
-        } else if (arg == "--threads") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseIntArg(arg, *v, &request.threads)) return 2;
-            ++i;
-        } else if (arg == "--deadline-ms") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseIntArg(arg, *v, &request.deadline_ms)) return 2;
-            ++i;
-        } else if (arg == "--ir") {
-            request.artifacts.ir = true;
-        } else if (arg == "--asm") {
-            request.artifacts.instructions = true;
-        } else if (arg == "--traces") {
-            request.artifacts.traces = true;
-        } else if (arg == "--exec-graph") {
-            request.artifacts.execution_graph = true;
-        } else if (arg == "--exec-graph-rows") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseIntArg(arg, *v,
-                             &request.artifacts.execution_graph_rows))
-                return 2;
-            ++i;
-        } else if (arg == "-o" || arg == "--out") {
-            if (!(v = need_value(i, arg))) return 2;
-            out_path = *v, ++i;
-        } else if (arg == "--outdir") {
-            if (!(v = need_value(i, arg))) return 2;
-            outdir = *v, ++i;
-        } else if (arg == "--trace") {
-            if (!(v = need_value(i, arg))) return 2;
-            trace_path = *v, ++i;
-        } else if (arg == "--stats") {
-            if (!(v = need_value(i, arg))) return 2;
-            stats_path = *v, ++i;
-        } else if (arg == "--quiet") {
+        if (arg == "--quiet") {
             quiet = true;
-        } else {
+            continue;
+        }
+        if (arg == "--validate-memory") {
+            validate_memory = true;
+            continue;
+        }
+        // CLI-side flags: not request fields.
+        std::string *cli = arg == "-o" || arg == "--out" ? &out_path
+                           : arg == "--outdir"           ? &outdir
+                           : arg == "--trace"            ? &trace_path
+                           : arg == "--stats"            ? &stats_path
+                                                         : nullptr;
+        const RequestFlag *flag = nullptr;
+        for (const RequestFlag &f : kRequestFlags)
+            if (arg == f.flag) flag = &f;
+        if (!cli && !flag) {
             std::cerr << "unknown flag " << arg << "\n";
             return 2;
         }
+        if (flag && flag->kind == FlagKind::kBool) {
+            fields.emplace_back(flag->path, Json::Bool(true));
+            continue;
+        }
+        if (i + 1 >= args.size()) {
+            std::cerr << arg << " needs a value\n";
+            return 2;
+        }
+        const std::string &text = args[++i];
+        if (cli) {
+            *cli = text;
+            continue;
+        }
+        Json value;
+        if (!FlagValue(*flag, text, &value)) return 2;
+        fields.emplace_back(flag->path, std::move(value));
     }
-    if (!have_request && request.model.empty()) {
+
+    // One decode: the request JSON (or {}) with the flag fields set.
+    Json json = Json::Object();
+    if (!request_path.empty() && !LoadJson(request_path, &json)) return 2;
+    for (auto &[path, value] : fields) SetPath(&json, path, std::move(value));
+    ScheduleRequest request;
+    std::string err;
+    if (!ScheduleRequest::FromJson(json, &request, &err)) {
+        std::cerr << (request_path.empty() ? "somac run" : request_path)
+                  << ": " << err << "\n";
+        return 2;
+    }
+    if (request_path.empty() && request.model.empty()) {
         std::cerr << "nothing to schedule: pass a request JSON or "
                      "--model (see somac help)\n";
         return 2;
     }
     // Searching under the banked backend without measuring the gap it
     // was built to expose would be pointless — imply validation.
-    if (request.memory_model == "banked") request.validate_memory = true;
+    request.validate_memory =
+        validate_memory || request.memory_model == "banked";
 
     Scheduler scheduler;
     if (!quiet) {
@@ -451,7 +415,6 @@ CmdRun(const std::vector<std::string> &args)
                   << "%\n";
     }
 
-    std::string err;
     const std::string result_text = result.ToJson().Dump(2) + "\n";
     if (out_path.empty()) {
         std::cout << result_text;
@@ -508,23 +471,6 @@ CmdRun(const std::vector<std::string> &args)
     return 0;
 }
 
-bool
-LoadRequest(const std::string &path, ScheduleRequest *request)
-{
-    std::string text, err;
-    if (!ReadFile(path, &text, &err)) {
-        std::cerr << err << "\n";
-        return false;
-    }
-    Json json;
-    if (!Json::Parse(text, &json, &err) ||
-        !ScheduleRequest::FromJson(json, request, &err)) {
-        std::cerr << path << ": " << err << "\n";
-        return false;
-    }
-    return true;
-}
-
 int
 CmdFingerprint(const std::vector<std::string> &args)
 {
@@ -555,8 +501,14 @@ CmdFingerprint(const std::vector<std::string> &args)
                      "[--canonical] [--stats FILE]\n";
         return 2;
     }
+    Json json;
     ScheduleRequest request;
-    if (!LoadRequest(path, &request)) return 2;
+    std::string err;
+    if (!LoadJson(path, &json)) return 2;
+    if (!ScheduleRequest::FromJson(json, &request, &err)) {
+        std::cerr << path << ": " << err << "\n";
+        return 2;
+    }
     std::cout << HexU64(request.Fingerprint()) << "\n";
     if (canonical)
         std::cout << request.CanonicalJson().CanonicalDump() << "\n";
@@ -567,7 +519,6 @@ CmdFingerprint(const std::vector<std::string> &args)
         obs::MetricsRegistry::Global()
             .GetCounter("fingerprint.requests")
             .Add();
-        std::string err;
         const std::string dump =
             obs::MetricsRegistry::Global().ToJson().CanonicalDump() + "\n";
         if (!WriteFile(stats_path, dump, &err)) {
@@ -585,182 +536,6 @@ struct SweepRow {
     ScheduleRequest request;
     ScheduleResult result;
 };
-
-bool
-StringAxis(const Json &value, const std::string &key,
-           std::vector<std::string> *out, std::string *err)
-{
-    if (!value.IsArray()) {
-        *err = "sweep field \"" + key + "\" must be an array of strings";
-        return false;
-    }
-    for (const Json &v : value.array_items()) {
-        if (!v.IsString()) {
-            *err = "sweep field \"" + key + "\" must contain strings";
-            return false;
-        }
-        out->push_back(v.AsString());
-    }
-    return true;
-}
-
-bool
-NumberAxis(const Json &value, const std::string &key,
-           std::vector<double> *out, std::string *err)
-{
-    if (!value.IsArray()) {
-        *err = "sweep field \"" + key + "\" must be an array of numbers";
-        return false;
-    }
-    for (const Json &v : value.array_items()) {
-        if (!v.IsNumber()) {
-            *err = "sweep field \"" + key + "\" must contain numbers";
-            return false;
-        }
-        out->push_back(v.AsDouble());
-    }
-    return true;
-}
-
-/** Exact unsigned integers (no silent truncation: fractional values
- *  and values beyond 2^63 are rejected; integer literals keep their
- *  exact u64 payload through Json). */
-bool
-U64Axis(const Json &value, const std::string &key,
-        std::vector<std::uint64_t> *out, std::string *err)
-{
-    if (!value.IsArray()) {
-        *err = "sweep field \"" + key + "\" must be an array of integers";
-        return false;
-    }
-    for (const Json &v : value.array_items()) {
-        const double d = v.AsDouble();
-        if (!v.IsNumber() || d < 0 || d != std::floor(d) || d > 9.2e18) {
-            *err = "sweep field \"" + key +
-                   "\" must contain non-negative integers (< 2^63)";
-            return false;
-        }
-        out->push_back(v.AsU64());
-    }
-    return true;
-}
-
-/** Expand @p spec_json into the grid's requests, in deterministic
- *  nested-loop order (models, batches, hardware, gbuf, dram,
- *  schedulers, profiles, seeds — innermost last). */
-bool
-ExpandSweepSpec(const Json &spec_json,
-                std::vector<ScheduleRequest> *requests, std::string *err)
-{
-    if (!spec_json.IsObject()) {
-        *err = "sweep spec must be a JSON object";
-        return false;
-    }
-    ScheduleRequest base;
-    std::vector<std::string> models, hardware, schedulers, profiles;
-    std::vector<double> batches, gbuf_mb, dram_gbps;
-    std::vector<std::uint64_t> seeds;
-    for (const auto &[key, value] : spec_json.items()) {
-        if (key == "base") {
-            if (!ScheduleRequest::FromJson(value, &base, err)) {
-                *err = "sweep base: " + *err;
-                return false;
-            }
-        } else if (key == "models") {
-            if (!StringAxis(value, key, &models, err)) return false;
-        } else if (key == "hardware") {
-            if (!StringAxis(value, key, &hardware, err)) return false;
-        } else if (key == "schedulers") {
-            if (!StringAxis(value, key, &schedulers, err)) return false;
-        } else if (key == "profiles") {
-            if (!StringAxis(value, key, &profiles, err)) return false;
-        } else if (key == "batches") {
-            if (!NumberAxis(value, key, &batches, err)) return false;
-        } else if (key == "gbuf_mb") {
-            if (!NumberAxis(value, key, &gbuf_mb, err)) return false;
-        } else if (key == "dram_gbps") {
-            if (!NumberAxis(value, key, &dram_gbps, err)) return false;
-        } else if (key == "seeds") {
-            if (!U64Axis(value, key, &seeds, err)) return false;
-        } else {
-            *err = "unknown sweep field \"" + key + "\"";
-            return false;
-        }
-    }
-
-    // Missing axes collapse to the base request's value.
-    if (models.empty()) models.push_back(base.model);
-    if (hardware.empty()) hardware.push_back(base.hardware);
-    if (schedulers.empty()) schedulers.push_back(base.scheduler);
-    std::vector<SearchProfile> profile_axis;
-    if (profiles.empty()) {
-        profile_axis.push_back(base.profile);
-    } else {
-        for (const std::string &p : profiles) {
-            SearchProfile parsed;
-            if (!ParseSearchProfile(p, &parsed)) {
-                *err = "unknown profile \"" + p +
-                       "\" (expected quick, default or full)";
-                return false;
-            }
-            profile_axis.push_back(parsed);
-        }
-    }
-    std::vector<int> batch_axis;
-    if (batches.empty()) batch_axis.push_back(base.batch);
-    for (double b : batches) {
-        if (b < 1 || b > 1000000 || b != std::floor(b)) {
-            *err = "sweep batches must be integers in [1, 1000000]";
-            return false;
-        }
-        batch_axis.push_back(static_cast<int>(b));
-    }
-    std::vector<Bytes> gbuf_axis;
-    if (gbuf_mb.empty()) gbuf_axis.push_back(base.gbuf_bytes);
-    for (double mb : gbuf_mb) {
-        if (mb < 0) {
-            *err = "sweep gbuf_mb must be non-negative";
-            return false;
-        }
-        gbuf_axis.push_back(static_cast<Bytes>(mb * 1024 * 1024));
-    }
-    std::vector<double> dram_axis;
-    if (dram_gbps.empty()) dram_axis.push_back(base.dram_gbps);
-    for (double g : dram_gbps) {
-        if (g < 0) {
-            *err = "sweep dram_gbps must be non-negative";
-            return false;
-        }
-        dram_axis.push_back(g);
-    }
-    std::vector<std::uint64_t> seed_axis = seeds;
-    if (seed_axis.empty()) seed_axis.push_back(base.seed);
-
-    for (const std::string &model : models)
-        for (int batch : batch_axis)
-            for (const std::string &hw : hardware)
-                for (Bytes gbuf : gbuf_axis)
-                    for (double dram : dram_axis)
-                        for (const std::string &sched : schedulers)
-                            for (SearchProfile profile : profile_axis)
-                                for (std::uint64_t seed : seed_axis) {
-                                    ScheduleRequest r = base;
-                                    r.model = model;
-                                    r.batch = batch;
-                                    r.hardware = hw;
-                                    r.gbuf_bytes = gbuf;
-                                    r.dram_gbps = dram;
-                                    r.scheduler = sched;
-                                    r.profile = profile;
-                                    r.seed = seed;
-                                    requests->push_back(std::move(r));
-                                }
-    if (requests->empty()) {
-        *err = "sweep spec expands to zero requests";
-        return false;
-    }
-    return true;
-}
 
 std::string
 FormatDouble(double v)
@@ -935,26 +710,22 @@ CmdSweep(const std::vector<std::string> &args)
         return 2;
     }
 
-    std::string text, err;
-    if (!ReadFile(spec_path, &text, &err)) {
-        std::cerr << err << "\n";
-        return 2;
-    }
     Json spec_json;
-    if (!Json::Parse(text, &spec_json, &err)) {
-        std::cerr << spec_path << ": " << err << "\n";
-        return 2;
+    if (!LoadJson(spec_path, &spec_json)) return 2;
+    // A memory model is a timing-backend choice, not a grid axis:
+    // --memory-model sets it on the base request for the whole sweep.
+    if (!memory_model.empty() && spec_json.IsObject()) {
+        Json base = spec_json.Find("base") ? *spec_json.Find("base")
+                                           : Json::Object();
+        base.Set("memory_model", Json::Str(memory_model));
+        spec_json.Set("base", std::move(base));
     }
     std::vector<ScheduleRequest> requests;
+    std::string err;
     if (!ExpandSweepSpec(spec_json, &requests, &err)) {
         std::cerr << spec_path << ": " << err << "\n";
         return 2;
     }
-    // A memory model is a timing-backend choice, not a grid axis:
-    // --memory-model retimes the whole sweep (the spec's base request
-    // can still pin one per-sweep via its memory_model field).
-    if (!memory_model.empty())
-        for (ScheduleRequest &r : requests) r.memory_model = memory_model;
     const std::size_t grid_size = requests.size();
     if (shard_count > 1) {
         // Deterministic work partition: shard I keeps grid points
