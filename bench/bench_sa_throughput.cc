@@ -1,18 +1,15 @@
 /**
  * @file
  * SA hot-path throughput: candidates evaluated per second, the number
- * every search-stage speedup ultimately cashes out as. Tracks five
+ * every search-stage speedup ultimately cashes out as. Tracks four
  * configurations of the DLSA inner loop —
  *
  *   legacy        mutate + EvaluateSchedule (the pre-refactor shape:
  *                 every candidate rebuilds all evaluation state)
  *   context-full  mutate + EvalContext::Evaluate (reused scratch,
  *                 allocation-free after warm-up)
- *   context-incr  mutate + EvalContext::EvaluateDelta with the windowed
- *                 splice disabled (timeline resumed from the earliest
- *                 slot the mutation touched, run to the end)
- *   delta         EvaluateDelta with windowed re-simulation (re-run
- *                 only the affected window, splice the cached suffix)
+ *   delta         mutate + EvalContext::EvaluateDelta (re-run only the
+ *                 affected window, splice the cached suffix)
  *   driver KxN    RunDlsaStage on the SearchDriver with K chains on N
  *                 threads (aggregate candidates/s at equal per-chain
  *                 budget)
@@ -216,9 +213,10 @@ main(int argc, char **argv)
             [] {}));
     }
 
-    auto dlsa_delta_walk = [&](const std::string &name, bool windowed) {
+    // mutate + EvaluateDelta against the committed base; also the walk
+    // the observability section below replays.
+    auto delta_walk = [&](const std::string &name) {
         EvalContext ctx;
-        ctx.set_windowed(windowed);
         ctx.Evaluate(graph, hw, parsed, initial, hw.gbuf_bytes, total_ops);
         ctx.Commit();
         return DlsaWalk(
@@ -231,8 +229,7 @@ main(int argc, char **argv)
             },
             [&] { ctx.Commit(); });
     };
-    dlsa_rows.push_back(dlsa_delta_walk("dlsa/context-incr", false));
-    dlsa_rows.push_back(dlsa_delta_walk("dlsa/delta", true));
+    dlsa_rows.push_back(delta_walk("dlsa/delta"));
     std::printf("DLSA inner loop (%d iterations):\n", dlsa_iters);
     PrintRows(dlsa_rows, "dlsa/legacy");
 
@@ -417,28 +414,13 @@ main(int argc, char **argv)
     // --trace/--stats hold), then microbench one *disabled* scope to
     // estimate the cost instrumentation adds when nobody is looking.
     {
-        auto incr_walk = [&](const std::string &name) {
-            EvalContext ctx;
-            ctx.Evaluate(graph, hw, parsed, initial, hw.gbuf_bytes,
-                         total_ops);
-            ctx.Commit();
-            return DlsaWalk(
-                name, parsed, initial, initial_cost, dlsa_iters,
-                [&](const DlsaEncoding &d, const DlsaDelta &delta) {
-                    return ctx
-                        .EvaluateDelta(graph, hw, parsed, d, delta,
-                                       hw.gbuf_bytes, total_ops)
-                        .Cost();
-                },
-                [&] { ctx.Commit(); });
-        };
         std::vector<Row> obs_rows;
-        obs_rows.push_back(incr_walk("obs/tracing_off"));
+        obs_rows.push_back(delta_walk("obs/tracing_off"));
         const std::vector<obs::ProfEntry> before = obs::ProfSnapshot();
         double timeline_share = 0.0;
         {
             obs::ProfEnableScope hold;
-            obs_rows.push_back(incr_walk("obs/tracing_on"));
+            obs_rows.push_back(delta_walk("obs/tracing_on"));
             const std::vector<obs::ProfEntry> after = obs::ProfSnapshot();
             const std::uint64_t timeline_nanos =
                 obs::ProfNanos(after, "eval.timeline") -
@@ -472,7 +454,7 @@ main(int argc, char **argv)
         const double overhead_pct =
             cand_ns > 0.0 ? 100.0 * (2.0 * scope_ns) / cand_ns : 0.0;
 
-        std::printf("\nobservability (context-incr walk, %d iterations):"
+        std::printf("\nobservability (delta walk, %d iterations):"
                     "\n",
                     dlsa_iters);
         PrintRows(obs_rows, "obs/tracing_off");

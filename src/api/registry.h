@@ -1,8 +1,10 @@
 /**
  * @file
- * The three pluggable registries behind the Scheduler facade. Each maps
- * a name onto a factory so new scenarios bolt on without touching call
- * sites:
+ * The pluggable registries behind the Scheduler facade. Each maps a name
+ * onto a factory so new scenarios bolt on without touching call sites.
+ * There are four, all thin NamedRegistry<T> subclasses
+ * (common/named_registry.h: registration order, replace-in-place,
+ * lookups that list the registered names instead of dying):
  *
  *  - ModelRegistry:     workload name -> Graph builder. Built-ins wrap
  *    the models.h zoo; consumers register custom builders (see
@@ -13,69 +15,58 @@
  *    Built-ins: "soma" (two-stage + buffer allocator), "cocco"
  *    (ASPLOS'24 baseline), "lfa-only" (stage 1 with the classical
  *    double-buffer DLSA, no DLSA exploration).
+ *  - MemoryModelRegistry (hw/memory_model.h): DRAM-timing backend name
+ *    -> MemoryModel. Built-ins: "analytical" and "banked".
  *
- * Lookups never die: unknown names produce an error string listing the
- * registered names. Registration is not synchronized — configure
- * registries before scheduling from multiple threads.
+ * Registration is not synchronized — configure registries before
+ * scheduling from multiple threads.
  */
 #ifndef SOMA_API_REGISTRY_H
 #define SOMA_API_REGISTRY_H
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "api/request.h"
+#include "common/named_registry.h"
 #include "hw/hardware.h"
 #include "search/buffer_allocator.h"
 #include "workload/graph.h"
 
 namespace soma {
 
-class ModelRegistry {
+class ModelRegistry
+    : public NamedRegistry<std::function<Graph(int batch)>> {
   public:
     using Builder = std::function<Graph(int batch)>;
 
     /** Empty registry (for tests / fully custom zoos). */
-    ModelRegistry() = default;
+    ModelRegistry() : NamedRegistry("model") {}
 
     /** Registry pre-populated with the models.h zoo. */
     static ModelRegistry WithBuiltins();
-
-    /** Registers (or replaces) a builder. */
-    void Register(const std::string &name, Builder builder);
-
-    bool Has(const std::string &name) const;
-    std::vector<std::string> Names() const;  ///< registration order
-
-    /** Builds @p name at @p batch. On unknown names returns false and
-     *  sets @p err to a message listing the registered names. */
-    bool Build(const std::string &name, int batch, Graph *out,
-               std::string *err) const;
-
-  private:
-    std::vector<std::pair<std::string, Builder>> builders_;
 };
 
-class HardwareRegistry {
+class HardwareRegistry
+    : public NamedRegistry<std::function<HardwareConfig()>> {
   public:
     using Factory = std::function<HardwareConfig()>;
 
-    HardwareRegistry() = default;
+    HardwareRegistry() : NamedRegistry("hardware") {}
 
     /** Registry pre-populated with "edge" and "cloud". */
     static HardwareRegistry WithBuiltins();
 
-    void Register(const std::string &name, Factory factory);
-
-    bool Has(const std::string &name) const;
-    std::vector<std::string> Names() const;
-
+    /** Builds @p name into @p out. On unknown names returns false and
+     *  sets @p err to a message listing the registered names. */
     bool Make(const std::string &name, HardwareConfig *out,
-              std::string *err) const;
-
-  private:
-    std::vector<std::pair<std::string, Factory>> factories_;
+              std::string *err) const
+    {
+        const Factory *factory = Find(name, err);
+        if (!factory) return false;
+        *out = (*factory)();
+        return true;
+    }
 };
 
 /**
@@ -105,25 +96,12 @@ using SchedulerFn = std::function<SchedulerRunResult(
     const Graph &graph, const HardwareConfig &hw,
     const ScheduleRequest &request, const SomaOptions &opts)>;
 
-class SchedulerRegistry {
+class SchedulerRegistry : public NamedRegistry<SchedulerFn> {
   public:
-    SchedulerRegistry() = default;
+    SchedulerRegistry() : NamedRegistry("scheduler") {}
 
     /** Registry pre-populated with "soma", "cocco" and "lfa-only". */
     static SchedulerRegistry WithBuiltins();
-
-    void Register(const std::string &name, SchedulerFn fn);
-
-    bool Has(const std::string &name) const;
-    std::vector<std::string> Names() const;
-
-    /** Pointer into the registry (stable until the next Register), or
-     *  nullptr with @p err listing the registered names. */
-    const SchedulerFn *Find(const std::string &name,
-                            std::string *err) const;
-
-  private:
-    std::vector<std::pair<std::string, SchedulerFn>> fns_;
 };
 
 }  // namespace soma

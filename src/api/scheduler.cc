@@ -334,10 +334,10 @@ Scheduler::RunPipeline(const ScheduleRequest &original, JobId id,
     progress("build");
     std::shared_ptr<const Graph> graph = request.graph;
     if (!graph) {
-        Graph built;
-        if (!models_.Build(request.model, request.batch, &built, &err))
-            return fail(err);
-        graph = std::make_shared<const Graph>(std::move(built));
+        const ModelRegistry::Builder *build =
+            models_.Find(request.model, &err);
+        if (!build) return fail(err);
+        graph = std::make_shared<const Graph>((*build)(request.batch));
     }
     result.graph = graph;
 

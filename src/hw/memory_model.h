@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/named_registry.h"
 #include "common/types.h"
 #include "hw/hardware.h"
 
@@ -112,36 +113,31 @@ double ModelTransferSeconds(const HardwareConfig &hw, Bytes bytes,
                             bool is_load);
 
 /**
- * Name -> MemoryModel registry, mirroring the api-layer registries:
- * ordered registration, lookup failures list the registered names.
- * Registered models must outlive the registry (builtins are process-
- * wide statics).
+ * Name -> MemoryModel registry (a NamedRegistry keyed by each model's
+ * name()). Registered models must outlive the registry (builtins are
+ * process-wide statics).
  */
-class MemoryModelRegistry {
+class MemoryModelRegistry : public NamedRegistry<const MemoryModel *> {
   public:
-    MemoryModelRegistry() = default;
+    MemoryModelRegistry() : NamedRegistry("memory model") {}
 
     /** Registry pre-populated with "analytical" and "banked". */
     static MemoryModelRegistry WithBuiltins();
 
-    void Register(const MemoryModel *model);
-
-    bool Has(const std::string &name) const;
-    std::vector<std::string> Names() const;  ///< registration order
+    /** Registers (or replaces) @p model under its name(). */
+    void Register(const MemoryModel *model)
+    {
+        NamedRegistry::Register(model->name(), model);
+    }
 
     /** The model, or nullptr with @p err listing the registered
      *  names. */
     const MemoryModel *Find(const std::string &name,
-                            std::string *err) const;
-
-    /** All registered models, registration order (for `somac list`). */
-    const std::vector<const MemoryModel *> &models() const
+                            std::string *err) const
     {
-        return models_;
+        const MemoryModel *const *model = NamedRegistry::Find(name, err);
+        return model ? *model : nullptr;
     }
-
-  private:
-    std::vector<const MemoryModel *> models_;
 };
 
 }  // namespace soma

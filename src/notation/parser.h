@@ -52,7 +52,7 @@ struct ParseOptions {
      * and abort unless the two ParsedSchedules are bit-identical.
      * Roughly halves parse throughput — enable in property tests and
      * verification runs only (the LFA stage turns it on under
-     * SOMA_LFA_CROSS_CHECK=1).
+     * SOMA_CROSS_CHECK=1).
      */
     bool cross_check = false;
 };

@@ -29,7 +29,7 @@ DeriveChainSeed(std::uint64_t base, int chain)
 void
 RunOnWorkers(int threads, int tasks, const std::function<void(int)> &fn)
 {
-    if (threads <= 1 || tasks == 1) {
+    if (threads <= 1 || tasks <= 1) {
         for (int i = 0; i < tasks; ++i) fn(i);
         return;
     }

@@ -91,7 +91,7 @@ std::uint64_t DeriveChainSeed(std::uint64_t base, int chain);
 /**
  * Run @p tasks independent jobs on up to @p threads workers. Jobs are
  * claimed from an atomic counter; fn(i) must only touch job-i state.
- * Runs inline when threads <= 1 or tasks == 1.
+ * Runs inline when threads <= 1 or tasks <= 1 (zero tasks: no-op).
  */
 void RunOnWorkers(int threads, int tasks,
                   const std::function<void(int)> &fn);

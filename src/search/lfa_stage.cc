@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 
 #include "obs/trace.h"
@@ -12,22 +10,6 @@
 #include "sim/evaluator.h"
 
 namespace soma {
-
-namespace {
-
-/** SOMA_LFA_CROSS_CHECK=1 turns the per-candidate parse cross-check on
- *  process-wide (read once; the flag is a debug switch, not a knob). */
-bool
-CrossCheckFromEnv()
-{
-    static const bool enabled = [] {
-        const char *v = std::getenv("SOMA_LFA_CROSS_CHECK");
-        return v && *v && std::strcmp(v, "0") != 0;
-    }();
-    return enabled;
-}
-
-}  // namespace
 
 bool
 MutateOrderMoveLayer(const Graph &graph, std::vector<LayerId> *order,
@@ -183,7 +165,7 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
     std::shared_ptr<TilingCache> tiling_cache = opts.tiling_cache;
     if (!tiling_cache) tiling_cache = std::make_shared<TilingCache>();
     ParseOptions popts;
-    popts.cross_check = opts.cross_check || CrossCheckFromEnv();
+    popts.cross_check = CrossCheckFromEnv();
 
     // One evaluation = parse + classical double-buffer DLSA (lazy
     // fallback under tight budgets). The context keeps parse and

@@ -21,10 +21,10 @@ GraphCache::Get(const std::string &model, int batch,
         ++stats_.hits;
         return it->second->graph;
     }
-    Graph built;
-    if (!models.Build(model, batch, &built, err)) return nullptr;
+    const ModelRegistry::Builder *build = models.Find(model, err);
+    if (!build) return nullptr;
     ++stats_.misses;
-    auto graph = std::make_shared<const Graph>(std::move(built));
+    auto graph = std::make_shared<const Graph>((*build)(batch));
     lru_.push_front(Entry{key, graph});
     index_[key] = lru_.begin();
     while (lru_.size() > capacity_) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 #include "common/logging.h"
@@ -13,47 +14,10 @@ namespace soma {
 
 void
 ComputeBufferBySlot(const ParsedSchedule &parsed,
-                    const std::vector<TilePos> &free_point,
-                    std::vector<Bytes> *diff, std::vector<Bytes> *usage)
+                    const std::vector<TilePos> &free_point, Bytes *diff,
+                    std::vector<Bytes> *usage)
 {
     const int slots = parsed.NumTiles();
-    diff->assign(slots + 1, 0);
-    auto add = [&](TilePos from, TilePos to, Bytes bytes) {
-        from = std::clamp<TilePos>(from, 0, slots);
-        to = std::clamp<TilePos>(to, 0, slots);
-        if (from >= to) return;
-        (*diff)[from] += bytes;
-        (*diff)[to] -= bytes;
-    };
-    for (const OnchipInterval &iv : parsed.onchip)
-        add(iv.from, iv.to, iv.bytes);
-    for (int j = 0; j < parsed.NumTensors(); ++j) {
-        const DramTensor &t = parsed.tensors[j];
-        if (t.IsLoad()) {
-            add(free_point[j], t.fixed_end, t.bytes);
-        } else {
-            add(t.first_use, free_point[j], t.bytes);
-        }
-    }
-    usage->assign(slots, 0);
-    Bytes run = 0;
-    for (int s = 0; s < slots; ++s) {
-        run += (*diff)[s];
-        (*usage)[s] = run;
-    }
-}
-
-namespace {
-
-/** ComputeBufferBySlot with the difference array drawn from the
- *  per-candidate arena: same arithmetic, no heap traffic. */
-void
-ComputeUsageWithArena(const ParsedSchedule &parsed,
-                      const std::vector<TilePos> &free_point,
-                      MonotonicArena *arena, std::vector<Bytes> *usage)
-{
-    const int slots = parsed.NumTiles();
-    Bytes *diff = arena->AllocArray<Bytes>(slots + 1);
     std::fill_n(diff, slots + 1, Bytes{0});
     auto add = [&](TilePos from, TilePos to, Bytes bytes) {
         from = std::clamp<TilePos>(from, 0, slots);
@@ -79,6 +43,8 @@ ComputeUsageWithArena(const ParsedSchedule &parsed,
         (*usage)[s] = run;
     }
 }
+
+namespace {
 
 bool
 TimesEqual(const std::vector<EventTiming> &a,
@@ -110,13 +76,17 @@ ReportsEqual(const EvalReport &a, const EvalReport &b)
 
 }  // namespace
 
-EvalContext::EvalContext()
+bool
+CrossCheckFromEnv()
 {
-    const char *wd = std::getenv("SOMA_TIMELINE_DELTA");
-    if (wd && wd[0] == '0' && wd[1] == '\0') windowed_ = false;
-    const char *cc = std::getenv("SOMA_EVAL_CROSS_CHECK");
-    if (cc && !(cc[0] == '0' && cc[1] == '\0')) cross_check_ = true;
+    static const bool enabled = [] {
+        const char *v = std::getenv("SOMA_CROSS_CHECK");
+        return v && *v && std::strcmp(v, "0") != 0;
+    }();
+    return enabled;
 }
+
+EvalContext::EvalContext() : cross_check_(CrossCheckFromEnv()) {}
 
 const ParsedSchedule &
 EvalContext::Parse(const Graph &graph, const LfaEncoding &lfa,
@@ -530,7 +500,9 @@ EvalContext::Evaluate(const Graph &graph, const HardwareConfig &hw,
     for (int r = 0; r < D; ++r) side.rank_of[side.order[r]] = r;
 
     // --- Buffer feasibility (slot-based, Fig. 4 BUFFER row) ---
-    ComputeUsageWithArena(parsed, side.free_point, &arena_, &side.usage);
+    ComputeBufferBySlot(parsed, side.free_point,
+                        arena_.AllocArray<Bytes>(parsed.NumTiles() + 1),
+                        &side.usage);
     Bytes peak = 0;
     for (Bytes b : side.usage) peak = std::max(peak, b);
     rep.peak_buffer = peak;
@@ -738,25 +710,20 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
         double dram_prev =
             di0 > 0 ? side.tensor_finish[side.order[di0 - 1]] : 0.0;
         const TimelineSoA &soa = SoAFor(parsed, hw);
-        bool ok;
-        if (windowed_) {
-            SpliceWindow w;
-            w.base = &base;
-            w.min_ci = min_ci;
-            w.min_di = min_di;
-            ok = RunTimelineWindowed(soa, &side, ci0, di0, dram_prev, &w);
-            ++delta_stats_.windowed_runs;
-            delta_stats_.window_events +=
-                static_cast<std::uint64_t>(w.events);
-            delta_stats_.last_window_events = w.events;
-            delta_stats_.last_resume_ci = ci0;
-            delta_stats_.last_resume_di = di0;
-            if (ok && w.spliced) {
-                ++delta_stats_.splices;
-                known_latency = base.report.latency;
-            }
-        } else {
-            ok = RunTimeline(soa, &side, ci0, di0, dram_prev);
+        SpliceWindow w;
+        w.base = &base;
+        w.min_ci = min_ci;
+        w.min_di = min_di;
+        const bool ok =
+            RunTimelineWindowed(soa, &side, ci0, di0, dram_prev, &w);
+        ++delta_stats_.windowed_runs;
+        delta_stats_.window_events += static_cast<std::uint64_t>(w.events);
+        delta_stats_.last_window_events = w.events;
+        delta_stats_.last_resume_ci = ci0;
+        delta_stats_.last_resume_di = di0;
+        if (ok && w.spliced) {
+            ++delta_stats_.splices;
+            known_latency = base.report.latency;
         }
         if (!ok) {
             // Deadlock. The resumed run reproduced the full trajectory
@@ -793,7 +760,7 @@ EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
                          Ops total_ops)
 {
     RevertPendingStoreMove();
-    if (!windowed_ || !base_ok_ || &parsed != OwnCandParse() ||
+    if (!base_ok_ || &parsed != OwnCandParse() ||
         base_parsed_ != OwnBaseParse() || base_budget_ != buffer_budget ||
         base_ops_ != total_ops || !parsed.valid) {
         ++delta_stats_.full_fallbacks;
@@ -887,7 +854,9 @@ EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
 
     // Occupancy is recomputed outright (onchip intervals are not part
     // of the diff scans); identical arithmetic to the full path.
-    ComputeUsageWithArena(parsed, side.free_point, &arena_, &side.usage);
+    ComputeBufferBySlot(parsed, side.free_point,
+                        arena_.AllocArray<Bytes>(parsed.NumTiles() + 1),
+                        &side.usage);
     Bytes peak = 0;
     for (Bytes b : side.usage) peak = std::max(peak, b);
     rep.peak_buffer = peak;
@@ -1020,7 +989,9 @@ EvalContext::CrossCheckAgainstFull(const HardwareConfig &hw,
     ref.free_point = dlsa.free_point;
     ref.rank_of.assign(D, 0);
     for (int r = 0; r < D; ++r) ref.rank_of[ref.order[r]] = r;
-    ComputeUsageWithArena(parsed, ref.free_point, &arena_, &ref.usage);
+    ComputeBufferBySlot(parsed, ref.free_point,
+                        arena_.AllocArray<Bytes>(parsed.NumTiles() + 1),
+                        &ref.usage);
     Bytes peak = 0;
     for (Bytes b : ref.usage) peak = std::max(peak, b);
     rrep.peak_buffer = peak;

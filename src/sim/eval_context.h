@@ -11,9 +11,9 @@
  *
  *  - EvaluateDelta: DLSA-only mutations (free-point / order moves)
  *    resume the two-pointer timeline at the earliest affected
- *    (tile, rank) checkpoint, and — windowed mode — *splice* back into
- *    the base timeline as soon as the recomputed window reconverges
- *    with it bit-for-bit, so only the perturbed region is simulated.
+ *    (tile, rank) checkpoint and *splice* back into the base timeline
+ *    as soon as the recomputed window reconverges with it bit-for-bit,
+ *    so only the perturbed region is simulated.
  *  - EvaluateLfa: LFA mutations re-parse the scheme; a first-diff scan
  *    of the new parse against the committed base's parse derives the
  *    affected window, the unchanged timeline prefix is copied verbatim,
@@ -29,9 +29,9 @@
  * timeline executes the same recurrences on the same operands, the
  * splice fires only when the recomputed window equals the base
  * trajectory bitwise, and the integer buffer-occupancy array is patched
- * exactly. `set_cross_check(true)` (or SOMA_EVAL_CROSS_CHECK=1) runs
- * the full simulation after every fast path and aborts on any
- * divergence, mirroring the incremental parser's cross-check mode.
+ * exactly. `set_cross_check(true)` (or SOMA_CROSS_CHECK=1) runs the
+ * full simulation after every fast path and aborts on any divergence,
+ * mirroring the incremental parser's cross-check mode.
  */
 #ifndef SOMA_SIM_EVAL_CONTEXT_H
 #define SOMA_SIM_EVAL_CONTEXT_H
@@ -70,11 +70,21 @@ struct DlsaDelta {
 
 /**
  * Buffer occupancy per tile slot via a difference array. Slots are
- * [0, NumTiles()); shared by PeakBufferUsage and the EvalContext.
+ * [0, NumTiles()); @p diff is caller-supplied scratch of NumTiles() + 1
+ * entries (a vector in PeakBufferUsage, the per-candidate arena in the
+ * EvalContext hot path).
  */
 void ComputeBufferBySlot(const ParsedSchedule &parsed,
-                         const std::vector<TilePos> &free_point,
-                         std::vector<Bytes> *diff, std::vector<Bytes> *usage);
+                         const std::vector<TilePos> &free_point, Bytes *diff,
+                         std::vector<Bytes> *usage);
+
+/**
+ * The one verification switch: SOMA_CROSS_CHECK set to anything but
+ * "" or "0" turns on both debug cross-checks process-wide — the
+ * incremental parse's (ParseOptions::cross_check, in the LFA stage) and
+ * the delta timeline's (EvalContext::set_cross_check). Read once.
+ */
+bool CrossCheckFromEnv();
 
 /**
  * Per-thread evaluation context. Typical SA usage:
@@ -148,8 +158,8 @@ class EvalContext {
      * Evaluate a candidate that differs from the committed base by
      * @p delta. Resumes the two-pointer timeline from the earliest
      * affected (tile, rank) checkpoint instead of replaying it from
-     * slot 0, and (windowed mode) splices back into the base timeline
-     * once the window reconverges. Falls back to Evaluate when there is
+     * slot 0, and splices back into the base timeline once the window
+     * reconverges. Falls back to Evaluate when there is
      * no usable base (not committed, different parse/budget, or
      * delta.kind == kNone).
      *
@@ -194,16 +204,9 @@ class EvalContext {
     /** Whether EvaluateDelta currently has a usable base. */
     bool HasBase() const { return base_ok_; }
 
-    /** Windowed re-simulation on/off (default: on, unless
-     *  SOMA_TIMELINE_DELTA=0). Off, EvaluateDelta degrades to plain
-     *  suffix resumption and EvaluateLfa to full evaluation — the
-     *  byte-identity reference behavior. */
-    void set_windowed(bool on) { windowed_ = on; }
-    bool windowed() const { return windowed_; }
-
-    /** Cross-check mode (default: off, unless SOMA_EVAL_CROSS_CHECK is
-     *  set): after every fast-path evaluation, run the full simulation
-     *  and abort on any byte divergence. */
+    /** Cross-check mode (default: CrossCheckFromEnv()): after every
+     *  fast-path evaluation, run the full simulation and abort on any
+     *  byte divergence. */
     void set_cross_check(bool on) { cross_check_ = on; }
     bool cross_check() const { return cross_check_; }
 
@@ -363,8 +366,7 @@ class EvalContext {
     bool cand_fresh_ = false;  ///< cand side holds an uncommitted result
     bool buckets_for_base_ = false;
 
-    bool windowed_ = true;
-    bool cross_check_ = false;
+    bool cross_check_;
     DeltaStats delta_stats_;
 
     bool pending_move_ = false;

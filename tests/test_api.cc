@@ -336,27 +336,106 @@ TEST(Registries, BuiltinsArePresent)
 
 TEST(Registries, UnknownNamesErrorWithCandidates)
 {
+    // All four registries share one lookup error format, and Schedule
+    // reports it verbatim.
+    struct Case {
+        const char *kind;
+        std::function<void(ScheduleRequest *)> set;
+        std::string expected;
+    };
+    const std::vector<Case> cases = {
+        {"model",
+         [](ScheduleRequest *r) {
+             r->graph = nullptr;
+             r->model = "resnet999";
+         },
+         "unknown model \"resnet999\" (registered: resnet50, resnet101, "
+         "ires, randwire, transformer-large, gpt2s-prefill, gpt2s-decode, "
+         "gpt2xl-prefill, gpt2xl-decode)"},
+        {"hardware", [](ScheduleRequest *r) { r->hardware = "tpu"; },
+         "unknown hardware \"tpu\" (registered: edge, cloud)"},
+        {"scheduler", [](ScheduleRequest *r) { r->scheduler = "magic"; },
+         "unknown scheduler \"magic\" (registered: soma, cocco, lfa-only)"},
+        {"memory model",
+         [](ScheduleRequest *r) { r->memory_model = "hbm3"; },
+         "unknown memory model \"hbm3\" (registered: analytical, banked)"},
+    };
     Scheduler scheduler;
-    ScheduleRequest request;
-    request.model = "resnet999";
-    ScheduleResult result = scheduler.Schedule(request);
-    EXPECT_FALSE(result.ok);
-    EXPECT_NE(result.error.find("resnet999"), std::string::npos);
-    EXPECT_NE(result.error.find("resnet50"), std::string::npos);
+    for (const Case &c : cases) {
+        ScheduleRequest request = TinyRequest(1);
+        c.set(&request);
+        ScheduleResult result = scheduler.Schedule(request);
+        EXPECT_FALSE(result.ok) << c.kind;
+        EXPECT_EQ(result.error, c.expected) << c.kind;
+    }
+}
 
-    request = TinyRequest(1);
-    request.hardware = "tpu";
-    result = scheduler.Schedule(request);
-    EXPECT_FALSE(result.ok);
-    EXPECT_NE(result.error.find("tpu"), std::string::npos);
-    EXPECT_NE(result.error.find("edge"), std::string::npos);
+/** A backend registered under the builtin "analytical" name. */
+class ShadowAnalytical : public MemoryModel {
+  public:
+    const char *name() const override { return "analytical"; }
+    const char *description() const override { return "shadow"; }
+    void FillTransferSeconds(const HardwareConfig &, const DramTransferList &,
+                             std::vector<double> *) const override
+    {
+    }
+    double ChannelBusySeconds(const HardwareConfig &, Bytes,
+                              const std::vector<double> &) const override
+    {
+        return 0.0;
+    }
+};
 
-    request = TinyRequest(1);
-    request.scheduler = "magic";
-    result = scheduler.Schedule(request);
-    EXPECT_FALSE(result.ok);
-    EXPECT_NE(result.error.find("magic"), std::string::npos);
-    EXPECT_NE(result.error.find("soma"), std::string::npos);
+TEST(Registries, ReRegisterReplacesInPlace)
+{
+    // Re-registering a known name swaps its value and keeps its slot in
+    // Names(), in every registry.
+    Scheduler scheduler;
+
+    ModelRegistry &models = scheduler.models();
+    const std::vector<std::string> model_names = models.Names();
+    models.Register("resnet50", [](int batch) {
+        GraphBuilder b("replaced", batch);
+        b.MarkOutput(b.InputConv("c", ExtShape{3, 8, 8}, 4, 3, 1, 1));
+        return b.Take();
+    });
+    EXPECT_EQ(models.Names(), model_names);
+    EXPECT_EQ((*models.Find("resnet50", nullptr))(1).name(), "replaced");
+
+    HardwareRegistry &hardware = scheduler.hardware();
+    const std::vector<std::string> hw_names = hardware.Names();
+    hardware.Register("edge", [] {
+        HardwareConfig hw = EdgeAccelerator();
+        hw.cores = 3;
+        return hw;
+    });
+    EXPECT_EQ(hardware.Names(), hw_names);
+    HardwareConfig hw;
+    ASSERT_TRUE(hardware.Make("edge", &hw, nullptr));
+    EXPECT_EQ(hw.cores, 3);
+
+    SchedulerRegistry &schedulers = scheduler.schedulers();
+    const std::vector<std::string> fn_names = schedulers.Names();
+    schedulers.Register("soma", [](const Graph &, const HardwareConfig &,
+                                   const ScheduleRequest &,
+                                   const SomaOptions &) {
+        SchedulerRunResult out;
+        out.outer_iterations = 7;
+        return out;
+    });
+    EXPECT_EQ(schedulers.Names(), fn_names);
+    const SchedulerFn *fn = schedulers.Find("soma", nullptr);
+    ASSERT_NE(fn, nullptr);
+    EXPECT_EQ((*fn)(*TinyNet(), hw, ScheduleRequest{}, SomaOptions{})
+                  .outer_iterations,
+              7);
+
+    MemoryModelRegistry &memory = scheduler.memory_models();
+    const std::vector<std::string> mm_names = memory.Names();
+    static const ShadowAnalytical shadow;
+    memory.Register(&shadow);
+    EXPECT_EQ(memory.Names(), mm_names);
+    EXPECT_EQ(memory.Find("analytical", nullptr), &shadow);
 }
 
 TEST(Registries, CustomEntriesServeRequests)

@@ -231,11 +231,11 @@ TEST(DeltaEval, MixedChainSurvivesCrossCheckMode)
     RunMixedWalk(/*seed=*/257, /*phases=*/4, /*cross_check=*/true);
 }
 
-TEST(DeltaEval, DisabledWindowingIsByteIdentical)
+TEST(DeltaEval, WindowedChainMatchesFullEvaluation)
 {
-    // SOMA_TIMELINE_DELTA=0 must be a pure wall-clock knob. Compare a
-    // windowed context against a windowing-disabled one over one
-    // mutation chain.
+    // The windowed splice is the only delta path, so it must be a pure
+    // wall-clock optimization: over one mutation chain, every delta
+    // report equals a from-scratch EvaluateSchedule of the candidate.
     Graph g = MakeBranchy();
     HardwareConfig hw = EdgeAccelerator();
     CoreArrayEvaluator ce(g, hw);
@@ -246,12 +246,9 @@ TEST(DeltaEval, DisabledWindowingIsByteIdentical)
     ASSERT_TRUE(parsed.valid);
     DlsaEncoding base = MakeDoubleBufferDlsa(parsed);
 
-    EvalContext on, off;
-    off.set_windowed(false);
-    ASSERT_TRUE(on.Evaluate(g, hw, parsed, base, budget, ops).valid);
-    ASSERT_TRUE(off.Evaluate(g, hw, parsed, base, budget, ops).valid);
-    on.Commit();
-    off.Commit();
+    EvalContext ctx;
+    ASSERT_TRUE(ctx.Evaluate(g, hw, parsed, base, budget, ops).valid);
+    ctx.Commit();
 
     DlsaMutator mutate(parsed);
     Rng rng(43);
@@ -260,18 +257,15 @@ TEST(DeltaEval, DisabledWindowingIsByteIdentical)
     for (int i = 0; i < 120; ++i) {
         if (!mutate(cur, &cand, rng, &delta)) continue;
         const EvalReport &a =
-            on.EvaluateDelta(g, hw, parsed, cand, delta, budget, ops);
-        const EvalReport &b =
-            off.EvaluateDelta(g, hw, parsed, cand, delta, budget, ops);
-        ExpectReportsIdentical(a, b);
+            ctx.EvaluateDelta(g, hw, parsed, cand, delta, budget, ops);
+        ExpectReportsIdentical(
+            a, EvaluateSchedule(g, hw, parsed, cand, budget, ops));
         if (a.valid && rng.Flip()) {
-            on.Commit();
-            off.Commit();
+            ctx.Commit();
             std::swap(cur, cand);
         }
     }
-    EXPECT_GT(on.delta_stats().windowed_runs, 0u);
-    EXPECT_EQ(off.delta_stats().windowed_runs, 0u);
+    EXPECT_GT(ctx.delta_stats().windowed_runs, 0u);
 }
 
 TEST(DeltaEval, ArenaResetKeepsCandidatesIndependent)

@@ -36,6 +36,10 @@ TEST(Workers, InlineWhenSingleThread)
     int sum = 0;  // no synchronization: must run inline
     RunOnWorkers(1, 10, [&](int i) { sum += i; });
     EXPECT_EQ(sum, 45);
+    // Zero tasks is a no-op at any thread count (an empty somac sweep
+    // shard runs with --jobs > 1).
+    RunOnWorkers(4, 0, [&](int) { ++sum; });
+    EXPECT_EQ(sum, 45);
 }
 
 TEST(ChainSeeds, DistinctAcrossChainsAndAdjacentBases)

@@ -22,7 +22,6 @@
  * `validate` is the tiny schema validator CI uses on the smoke run's
  * output; it checks presence and types of the stable result fields.
  */
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <climits>
@@ -32,7 +31,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/scheduler.h"
@@ -41,6 +39,7 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
+#include "search/driver.h"
 #include "service/service.h"
 #include "service/sweep.h"
 
@@ -217,8 +216,10 @@ CmdList(const std::vector<std::string> &args)
         print("schedulers", scheduler.schedulers().Names());
     if (what == "memory-models" || what == "all") {
         std::cout << "memory-models:\n";
-        for (const MemoryModel *m : scheduler.memory_models().models())
-            std::cout << "  " << m->name() << " - " << m->description()
+        const MemoryModelRegistry &registry = scheduler.memory_models();
+        for (const std::string &name : registry.Names())
+            std::cout << "  " << name << " - "
+                      << registry.Find(name, nullptr)->description()
                       << "\n";
     }
     if (what != "models" && what != "hardware" && what != "schedulers" &&
@@ -788,22 +789,9 @@ CmdSweep(const std::vector<std::string> &args)
         // Work-stealing over the grid; rows land at their expansion
         // index, so the table order never depends on jobs or
         // completion order.
-        std::atomic<std::size_t> next{0};
-        auto worker = [&] {
-            for (;;) {
-                std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= rows.size()) return;
-                rows[i].result = service.Schedule(rows[i].request);
-            }
-        };
-        const int spawn = std::max(
-            1, std::min<int>(jobs, static_cast<int>(rows.size())));
-        std::vector<std::thread> team;
-        team.reserve(spawn - 1);
-        for (int t = 1; t < spawn; ++t) team.emplace_back(worker);
-        worker();
-        for (std::thread &t : team) t.join();
+        RunOnWorkers(jobs, static_cast<int>(rows.size()), [&](int i) {
+            rows[i].result = service.Schedule(rows[i].request);
+        });
 
         // The determinism self-check behind --repeat: every pass over
         // one grid — cold, result-cache-warm, warm-state-warm — must
