@@ -17,6 +17,7 @@
 #include "sim/evaluator.h"
 #include "tiling/tiling_cache.h"
 #include "workload/graph_builder.h"
+#include "workload/models.h"
 
 namespace soma {
 namespace {
@@ -54,15 +55,45 @@ ExpectReportsIdentical(const EvalReport &a, const EvalReport &b)
     EXPECT_EQ(a.num_tensors, b.num_tensors);
 }
 
+/** A small GPT-2 prefill: multi-input attention matmuls whose K/V
+ *  operands are read in full (kFull) by every row tile, so every tile
+ *  round needs the identical region (the ifmap residency-extension
+ *  rule). */
+Graph
+MakeSmallPrefill()
+{
+    Gpt2Config cfg;
+    cfg.layers = 2;
+    cfg.hidden = 64;
+    cfg.heads = 2;
+    cfg.ffn = 128;
+    return BuildGpt2Prefill(cfg, 1, 64);
+}
+
+/** Whether some ifmap load stays resident past its first tile round —
+ *  the identical-region extension fired somewhere in @p p. */
+bool
+HasExtendedIfmap(const ParsedSchedule &p)
+{
+    for (int j = 0; j < p.NumTensors(); ++j) {
+        const DramTensor &t = p.tensors[j];
+        if (t.kind == DramTensorKind::kIfmap && t.fixed_end > t.first_use + 1)
+            return true;
+    }
+    return false;
+}
+
 /**
  * Random LFA mutation chain. Every candidate is parsed through the
  * incremental context (warm group memo) and from scratch; both parses
- * and the resulting double-buffer evaluations must match bit for bit.
+ * and the resulting double-buffer evaluations — full and windowed
+ * against the walk's committed base — must match bit for bit.
  */
 void
-RunParseWalk(bool with_tiling_cache, std::uint64_t seed, int steps)
+RunParseWalk(const Graph &g, const ParseOptions &popts,
+             bool with_tiling_cache, std::uint64_t seed, int steps,
+             int *extended = nullptr)
 {
-    Graph g = MakeBranchy();
     HardwareConfig hw = EdgeAccelerator();
     CoreArrayEvaluator ce(g, hw);
     const Ops ops = g.TotalOps();
@@ -77,20 +108,27 @@ RunParseWalk(bool with_tiling_cache, std::uint64_t seed, int steps)
     int parsed_valid = 0;
     for (int i = 0; i < steps; ++i) {
         if (!MutateLfaEncoding(g, current, &cand, 16, rng)) continue;
-        const ParsedSchedule &inc = ctx.Parse(g, cand, ce);
+        const ParsedSchedule &inc = ctx.Parse(g, cand, ce, popts);
         // Reference: fresh scratch, no memo, no shared cache.
-        ParsedSchedule full = ParseLfa(g, cand, ce);
+        ParsedSchedule full = ParseLfa(g, cand, ce, popts);
         ASSERT_TRUE(ParsedSchedulesIdentical(inc, full))
             << "step " << i << ": " << cand.ToString(g);
         if (inc.valid) {
             ++parsed_valid;
+            if (extended && HasExtendedIfmap(full)) ++*extended;
             DlsaEncoding dlsa = MakeDoubleBufferDlsa(inc);
-            const EvalReport &inc_rep =
-                ctx.Evaluate(g, hw, inc, dlsa, hw.gbuf_bytes, ops);
             EvalReport full_rep =
                 EvaluateSchedule(g, hw, full, dlsa, hw.gbuf_bytes, ops);
+            const EvalReport &lfa_rep =
+                ctx.EvaluateLfa(g, hw, inc, dlsa, hw.gbuf_bytes, ops);
+            ExpectReportsIdentical(lfa_rep, full_rep);
+            const EvalReport &inc_rep =
+                ctx.Evaluate(g, hw, inc, dlsa, hw.gbuf_bytes, ops);
             ExpectReportsIdentical(inc_rep, full_rep);
-            if (rng.Flip()) current = cand;
+            if (rng.Flip()) {
+                ctx.Commit();
+                current = cand;
+            }
         }
     }
     EXPECT_GT(parsed_valid, steps / 4);
@@ -98,12 +136,32 @@ RunParseWalk(bool with_tiling_cache, std::uint64_t seed, int steps)
 
 TEST(IncrementalParse, MatchesFullParseOverMutationChain)
 {
-    RunParseWalk(/*with_tiling_cache=*/false, 11, 300);
+    RunParseWalk(MakeBranchy(), ParseOptions{},
+                 /*with_tiling_cache=*/false, 11, 300);
 }
 
 TEST(IncrementalParse, MatchesFullParseWithSharedTilingCache)
 {
-    RunParseWalk(/*with_tiling_cache=*/true, 23, 300);
+    RunParseWalk(MakeBranchy(), ParseOptions{},
+                 /*with_tiling_cache=*/true, 23, 300);
+}
+
+TEST(IncrementalParse, MatchesFullParseOnTransformerWithKvOperands)
+{
+    int extended = 0;
+    RunParseWalk(MakeSmallPrefill(), ParseOptions{},
+                 /*with_tiling_cache=*/true, 41, 300, &extended);
+    // The walk must actually exercise the residency extension.
+    EXPECT_GT(extended, 0);
+}
+
+TEST(IncrementalParse, MatchesFullParseWithLgResidentWeights)
+{
+    ParseOptions popts;
+    popts.lg_resident_weights = true;
+    RunParseWalk(MakeBranchy(), popts, /*with_tiling_cache=*/true, 53, 300);
+    RunParseWalk(MakeSmallPrefill(), popts, /*with_tiling_cache=*/false, 59,
+                 200);
 }
 
 TEST(IncrementalParse, CrossCheckModeAcceptsTheWalk)
