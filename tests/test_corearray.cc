@@ -108,11 +108,12 @@ TEST(CoreArray, MemoizationStable)
     Graph g = MakeConvNet(32, 32);
     HardwareConfig hw = EdgeAccelerator();
     CoreArrayEvaluator eval(g, hw);
-    Region a{0, 1, 0, 8, 0, 32};
-    Region b{0, 1, 8, 16, 0, 32};  // same extents, different offset
+    // Same extents at different interior offsets: equal input halos.
+    Region a{0, 1, 8, 16, 0, 32};
+    Region b{0, 1, 16, 24, 0, 32};
     const TileCost &ca = eval.Evaluate(0, a);
     const TileCost &cb = eval.Evaluate(0, b);
-    EXPECT_EQ(&ca, &cb);  // one memo entry for equal extents
+    EXPECT_EQ(&ca, &cb);  // one memo entry for equal extents and halos
     EXPECT_EQ(ca.seconds, cb.seconds);
 }
 
@@ -160,16 +161,30 @@ TEST(CoreArray, SharedMemoWarmsSiblingEvaluators)
     EXPECT_EQ(sibling.memo()->size(), warmed);
 }
 
-TEST(CoreArray, MemoKeyIsExactOverExtents)
+TEST(CoreArray, MemoHitEqualsFreshComputeInBothInsertionOrders)
 {
-    // Same extents at different offsets share one entry; different
-    // extents never collide (the key packs them exactly).
-    Region a{0, 1, 0, 8, 0, 8};
-    Region b{0, 1, 8, 16, 8, 16};
-    Region c{0, 1, 0, 8, 0, 9};
-    EXPECT_EQ(TileCostMemo::Key(3, a), TileCostMemo::Key(3, b));
-    EXPECT_NE(TileCostMemo::Key(3, a), TileCostMemo::Key(3, c));
-    EXPECT_NE(TileCostMemo::Key(3, a), TileCostMemo::Key(4, a));
+    // A padded 3x3 conv: the top tile's input halo is clipped at the
+    // border, the interior tile of equal extent reads the full halo, so
+    // the two cost differently. Whichever is inserted first, a memo hit
+    // must return what a cold evaluator computes for the tile itself.
+    Graph g = MakeConvNet(32, 32);
+    HardwareConfig hw = EdgeAccelerator();
+    const Region edge{0, 1, 0, 8, 0, 32};
+    const Region interior{0, 1, 8, 16, 0, 32};
+    const TileCost fresh_edge = CoreArrayEvaluator(g, hw).Evaluate(0, edge);
+    const TileCost fresh_interior =
+        CoreArrayEvaluator(g, hw).Evaluate(0, interior);
+    ASSERT_NE(fresh_edge, fresh_interior);
+
+    CoreArrayEvaluator edge_first(g, hw);
+    EXPECT_EQ(edge_first.Evaluate(0, edge), fresh_edge);
+    EXPECT_EQ(edge_first.Evaluate(0, interior), fresh_interior);
+    EXPECT_EQ(edge_first.Evaluate(0, edge), fresh_edge);
+
+    CoreArrayEvaluator interior_first(g, hw);
+    EXPECT_EQ(interior_first.Evaluate(0, interior), fresh_interior);
+    EXPECT_EQ(interior_first.Evaluate(0, edge), fresh_edge);
+    EXPECT_EQ(interior_first.Evaluate(0, interior), fresh_interior);
 }
 
 }  // namespace

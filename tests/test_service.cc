@@ -714,6 +714,50 @@ TEST(Service, WarmStateIsByteIdenticalAndWarmsAcrossSeeds)
     EXPECT_EQ(cs.searches, 3u);
 }
 
+TEST(Service, CoccoIsByteIdenticalColdAndWarm)
+{
+    // Tile costs depend on a tile's clipped input halo, not only its
+    // extents. A memo keyed on extents alone let the tile costs that
+    // earlier searches left in the warm state change a later cocco
+    // result. Warm the (model, edge) state with soma, lfa-only and
+    // cocco at another seed, then compare the target against a cold
+    // service.
+    auto scheduling_bytes = [](const std::string &text) {
+        Json json;
+        std::string err;
+        EXPECT_TRUE(Json::Parse(text, &json, &err)) << err;
+        json.Erase("stats");
+        return json.Dump();
+    };
+    const std::pair<const char *, std::uint64_t> kCases[] = {
+        {"resnet50", 3}, {"randwire", 2}};
+    for (const auto &[model, seed] : kCases) {
+        auto request = [model = model](const char *sched,
+                                       std::uint64_t s) {
+            ScheduleRequest r;
+            r.model = model;
+            r.hardware = "edge";
+            r.scheduler = sched;
+            r.profile = SearchProfile::kQuick;
+            r.seed = s;
+            r.threads = 1;
+            return r;
+        };
+        ServiceOptions cold_options;
+        cold_options.warm_state_capacity = 0;
+        auto cold = MakeService(cold_options);
+        auto warm = MakeService();
+        for (const char *sched : {"soma", "lfa-only", "cocco"})
+            ASSERT_TRUE(warm->Schedule(request(sched, seed + 1000)).ok);
+        std::string cold_text, warm_text;
+        ASSERT_TRUE(cold->Schedule(request("cocco", seed), &cold_text).ok);
+        ASSERT_TRUE(warm->Schedule(request("cocco", seed), &warm_text).ok);
+        EXPECT_EQ(warm->stats().warm_state.hits, 3u) << model;
+        EXPECT_EQ(scheduling_bytes(cold_text), scheduling_bytes(warm_text))
+            << model << " seed " << seed;
+    }
+}
+
 // --------------------------------------------- clock + counter correctness
 
 TEST(Service, NegativeMemoTtlRunsOnInjectedMonotonicClock)
