@@ -14,13 +14,14 @@
  *                 threads (aggregate candidates/s at equal per-chain
  *                 budget)
  *
- * plus the LFA loop (parse-dominated) as legacy / context (scratch
- * reuse only) / incremental (group-memoized partial re-parse + shared
- * TilingCache, full timeline per candidate) / delta (incremental parse
- * + EvaluateLfa's windowed delta timeline against the committed base),
- * with cross-check passes asserting incremental parses bit-identical
- * to full parses and delta evaluations bit-identical to full
- * simulations. CI gates lfa/incremental >= 2x lfa/legacy,
+ * plus the LFA loop (parse-dominated) as legacy (from-scratch parse +
+ * full evaluation) / incremental (memoized group segments stitched per
+ * candidate + shared TilingCache, full timeline per candidate) / delta
+ * (incremental parse + EvaluateLfa's windowed delta timeline against
+ * the committed base) on resnet50, and legacy / delta on gpt2s-prefill
+ * (lfa-llm/...), with cross-check passes asserting incremental parses
+ * bit-identical to full parses and delta evaluations bit-identical to
+ * full simulations. CI gates lfa/incremental >= 2x lfa/legacy,
  * lfa/delta >= 2x lfa/legacy and dlsa/delta >= 4x dlsa/legacy.
  *
  * An observability section replays the incremental walk with the
@@ -138,6 +139,26 @@ DlsaWalk(const std::string &name, const ParsedSchedule &parsed,
     return row;
 }
 
+/** A fused multi-LG scheme with real prefetch headroom: the result of a
+ *  short single-chain LFA stage (the unfused initial scheme if that
+ *  finds nothing valid). */
+LfaEncoding
+SeededLfa(const Graph &graph, const HardwareConfig &hw,
+          CoreArrayEvaluator &core_eval)
+{
+    LfaEncoding lfa = MakeInitialLfa(graph, hw, 64);
+    Rng seed_rng(3);
+    LfaStageOptions seed_opts;
+    seed_opts.beta = 5;
+    seed_opts.max_iterations = 200;
+    seed_opts.driver.chains = 1;
+    seed_opts.driver.threads = 1;
+    LfaStageResult seeded = RunLfaStage(graph, hw, core_eval, hw.gbuf_bytes,
+                                        seed_opts, seed_rng);
+    if (seeded.report.valid) lfa = seeded.lfa;
+    return lfa;
+}
+
 }  // namespace
 
 int
@@ -163,19 +184,7 @@ main(int argc, char **argv)
     const Ops total_ops = graph.TotalOps();
 
     // A fused multi-LG scheme with real prefetch headroom.
-    LfaEncoding lfa = MakeInitialLfa(graph, hw, 64);
-    {
-        Rng seed_rng(3);
-        LfaStageOptions seed_opts;
-        seed_opts.beta = 5;
-        seed_opts.max_iterations = 200;
-        seed_opts.driver.chains = 1;
-        seed_opts.driver.threads = 1;
-        LfaStageResult seeded = RunLfaStage(graph, hw, core_eval,
-                                            hw.gbuf_bytes, seed_opts,
-                                            seed_rng);
-        if (seeded.report.valid) lfa = seeded.lfa;
-    }
+    const LfaEncoding lfa = SeededLfa(graph, hw, core_eval);
     ParsedSchedule parsed = ParseLfa(graph, lfa, core_eval);
     DlsaEncoding initial = MakeDoubleBufferDlsa(parsed);
     double initial_cost =
@@ -235,103 +244,115 @@ main(int argc, char **argv)
 
     // ------------------------------------------------------ LFA loop
     // Three shapes of the parse-dominated loop:
-    //   legacy       rebuild everything per candidate (ParseLfa +
-    //                EvaluateSchedule)
-    //   context      reused scratch, but every group re-derived (the
-    //                pre-incremental EvalContext shape)
-    //   incremental  group-memoized partial re-parse + shared
-    //                TilingCache (the LFA-stage production path)
-    // The lfa/incremental-vs-legacy ratio is gated in CI, and a single
-    // short walk on a shared runner is noisy: time each variant three
-    // times (identical work per repeat) and keep the fastest.
+    //   legacy       rebuild everything per candidate (from-scratch
+    //                ParseLfa + EvaluateSchedule)
+    //   incremental  memoized group segments stitched per candidate +
+    //                shared TilingCache, full timeline per candidate
+    //   delta        incremental parse + EvaluateLfa's windowed delta
+    //                timeline against the committed base (the LFA-stage
+    //                production path)
+    // run on resnet50 (lfa/...) and on gpt2s-prefill (lfa-llm/...,
+    // legacy and delta), where the parse dominates a whole request.
+    // The lfa/*-vs-legacy ratios are gated in CI, and a single short
+    // walk on a shared runner is noisy: time each variant three times
+    // (identical work per repeat) and keep the fastest.
     constexpr int kLfaRepeats = 3;
-    std::vector<Row> lfa_rows;
-    {
+    auto best_of = [&](const std::string &name, auto &&walk) {
         Row row;
-        row.name = "lfa/legacy";
+        row.name = name;
         for (int rep = 0; rep < kLfaRepeats; ++rep) {
-            Rng rng(23);
-            LfaEncoding cur = lfa, cand;
-            int candidates = 0;
             const MonotonicTime t0 = MonotonicNow();
-            for (int i = 0; i < lfa_iters; ++i) {
-                if (!MutateLfaEncoding(graph, cur, &cand, 64, rng))
-                    continue;
-                ParsedSchedule p = ParseLfa(graph, cand, core_eval);
-                if (p.valid) {
-                    DlsaEncoding d = MakeDoubleBufferDlsa(p);
-                    EvaluateSchedule(graph, hw, p, d, hw.gbuf_bytes,
-                                     total_ops);
-                }
-                ++candidates;
-            }
-            double seconds = SecondsSince(t0);
+            const int candidates = walk();
+            const double seconds = SecondsSince(t0);
             if (rep == 0 || seconds < row.seconds) {
                 row.candidates = candidates;
                 row.seconds = seconds;
             }
         }
-        lfa_rows.push_back(row);
-    }
-    auto lfa_context_walk = [&](const std::string &name,
-                                const ParseOptions &popts,
-                                bool with_tiling_cache, bool delta_eval) {
-        Row row;
-        row.name = name;
-        for (int rep = 0; rep < kLfaRepeats; ++rep) {
+        return row;
+    };
+    auto lfa_legacy_walk = [&](const std::string &name, const Graph &g,
+                               const HardwareConfig &h,
+                               CoreArrayEvaluator &ce,
+                               const LfaEncoding &start) {
+        const Ops ops = g.TotalOps();
+        return best_of(name, [&] {
+            Rng rng(23);
+            LfaEncoding cur = start, cand;
+            int candidates = 0;
+            for (int i = 0; i < lfa_iters; ++i) {
+                if (!MutateLfaEncoding(g, cur, &cand, 64, rng)) continue;
+                ParsedSchedule p = ParseLfa(g, cand, ce);
+                if (p.valid) {
+                    DlsaEncoding d = MakeDoubleBufferDlsa(p);
+                    EvaluateSchedule(g, h, p, d, h.gbuf_bytes, ops);
+                }
+                ++candidates;
+            }
+            return candidates;
+        });
+    };
+    auto lfa_context_walk = [&](const std::string &name, const Graph &g,
+                                const HardwareConfig &h,
+                                CoreArrayEvaluator &ce,
+                                const LfaEncoding &start, bool delta_eval) {
+        const Ops ops = g.TotalOps();
+        return best_of(name, [&] {
             Rng rng(23);
             EvalContext ctx;
-            if (with_tiling_cache)
-                ctx.set_tiling_cache(std::make_shared<TilingCache>());
+            ctx.set_tiling_cache(std::make_shared<TilingCache>());
             DlsaEncoding dlsa_scratch;
-            LfaEncoding cur = lfa, cand;
+            LfaEncoding cur = start, cand;
             if (delta_eval) {
                 // Commit the walk's base state once; every candidate
                 // then diffs against it (the stage's accept pattern).
-                const ParsedSchedule &p =
-                    ctx.Parse(graph, cur, core_eval, popts);
+                const ParsedSchedule &p = ctx.Parse(g, cur, ce);
                 MakeDoubleBufferDlsaInto(p, &dlsa_scratch);
-                ctx.EvaluateLfa(graph, hw, p, dlsa_scratch, hw.gbuf_bytes,
-                                total_ops);
+                ctx.EvaluateLfa(g, h, p, dlsa_scratch, h.gbuf_bytes, ops);
                 ctx.Commit();
             }
             int candidates = 0;
-            const MonotonicTime t0 = MonotonicNow();
             for (int i = 0; i < lfa_iters; ++i) {
-                if (!MutateLfaEncoding(graph, cur, &cand, 64, rng))
-                    continue;
-                const ParsedSchedule &p =
-                    ctx.Parse(graph, cand, core_eval, popts);
+                if (!MutateLfaEncoding(g, cur, &cand, 64, rng)) continue;
+                const ParsedSchedule &p = ctx.Parse(g, cand, ce);
                 if (p.valid) {
                     MakeDoubleBufferDlsaInto(p, &dlsa_scratch);
                     if (delta_eval) {
-                        ctx.EvaluateLfa(graph, hw, p, dlsa_scratch,
-                                        hw.gbuf_bytes, total_ops);
+                        ctx.EvaluateLfa(g, h, p, dlsa_scratch, h.gbuf_bytes,
+                                        ops);
                     } else {
-                        ctx.Evaluate(graph, hw, p, dlsa_scratch,
-                                     hw.gbuf_bytes, total_ops);
+                        ctx.Evaluate(g, h, p, dlsa_scratch, h.gbuf_bytes,
+                                     ops);
                     }
                 }
                 ++candidates;
             }
-            double seconds = SecondsSince(t0);
-            if (rep == 0 || seconds < row.seconds) {
-                row.candidates = candidates;
-                row.seconds = seconds;
-            }
-        }
-        lfa_rows.push_back(row);
+            return candidates;
+        });
     };
-    {
-        ParseOptions popts;
-        popts.reuse_groups = false;
-        lfa_context_walk("lfa/context", popts, false, false);
-    }
-    lfa_context_walk("lfa/incremental", ParseOptions{}, true, false);
-    lfa_context_walk("lfa/delta", ParseOptions{}, true, true);
+    std::vector<Row> lfa_rows;
+    lfa_rows.push_back(
+        lfa_legacy_walk("lfa/legacy", graph, hw, core_eval, lfa));
+    lfa_rows.push_back(lfa_context_walk("lfa/incremental", graph, hw,
+                                        core_eval, lfa, false));
+    lfa_rows.push_back(
+        lfa_context_walk("lfa/delta", graph, hw, core_eval, lfa, true));
     std::printf("\nLFA inner loop (%d iterations, parse-dominated):\n",
                 lfa_iters);
     PrintRows(lfa_rows, "lfa/legacy");
+    {
+        Graph llm = BuildModelByName("gpt2s-prefill", 1);
+        CoreArrayEvaluator llm_eval(llm, hw);
+        LfaEncoding llm_lfa = SeededLfa(llm, hw, llm_eval);
+        std::vector<Row> llm_rows;
+        llm_rows.push_back(lfa_legacy_walk("lfa-llm/legacy", llm, hw,
+                                           llm_eval, llm_lfa));
+        llm_rows.push_back(lfa_context_walk("lfa-llm/delta", llm, hw,
+                                            llm_eval, llm_lfa, true));
+        std::printf("\nLFA inner loop on gpt2s-prefill (%d iterations):\n",
+                    lfa_iters);
+        PrintRows(llm_rows, "lfa-llm/legacy");
+    }
 
     // The debug cross-checks: replay a slice of the same walk with
     // every incremental parse verified bit-identical against a

@@ -49,8 +49,8 @@ GenerateIr(const Graph &graph, const ParsedSchedule &parsed,
 
     ir.tile_deps.resize(parsed.NumTiles());
     for (int i = 0; i < parsed.NumTiles(); ++i) {
-        for (int j : parsed.tiles[i].need_loads)
-            ir.tile_deps[i].push_back(rank[j]);
+        for (const int *j = parsed.NeedBegin(i); j != parsed.NeedEnd(i); ++j)
+            ir.tile_deps[i].push_back(rank[*j]);
     }
     return ir;
 }

@@ -97,7 +97,7 @@ EvalContext::Parse(const Graph &graph, const LfaEncoding &lfa,
     // slot and survives — that is what EvaluateLfa diffs against.
     cand_fresh_ = false;
     cand_parsed_ = nullptr;
-    soa_[ps_cand_].built_for = nullptr;
+    fill_[ps_cand_].parse = nullptr;
     ParseLfaInto(graph, lfa, core_eval, popts, &parse_scratch_,
                  &parsed_storage_[ps_cand_], tiling_cache_.get());
     return parsed_storage_[ps_cand_];
@@ -173,90 +173,63 @@ EvalContext::RevertPendingStoreMove()
     pending_move_ = false;
 }
 
-void
-EvalContext::BuildSoA(const ParsedSchedule &parsed, TimelineSoA *soa)
+const EvalContext::HwFill &
+EvalContext::FillFor(const ParsedSchedule &parsed, const HardwareConfig &hw)
 {
-    const int T = parsed.NumTiles();
+    HwFill *fill;
+    if (&parsed == &parsed_storage_[0]) {
+        fill = &fill_[0];
+    } else if (&parsed == &parsed_storage_[1]) {
+        fill = &fill_[1];
+    } else {
+        fill = &fill_ext_;
+    }
+    if (fill->parse == &parsed && fill->hw == &hw) return *fill;
+
     const int D = parsed.NumTensors();
-    soa->tile_seconds.resize(T);
-    soa->need_off.resize(T + 1);
-    soa->need_idx.clear();
     // Separate accumulators in parse order: bitwise-identical to the
     // sums the full evaluator used to fold per candidate.
     double sum_seconds = 0.0;
+    for (double s : parsed.tile_seconds) sum_seconds += s;
     double sum_energy = 0.0;
-    for (int t = 0; t < T; ++t) {
-        const TileInfo &tile = parsed.tiles[t];
-        soa->tile_seconds[t] = tile.cost.seconds;
-        sum_energy += tile.cost.energy_pj;
-        sum_seconds += tile.cost.seconds;
-        soa->need_off[t] = static_cast<int>(soa->need_idx.size());
-        soa->need_idx.insert(soa->need_idx.end(), tile.need_loads.begin(),
-                             tile.need_loads.end());
-    }
-    soa->need_off[T] = static_cast<int>(soa->need_idx.size());
-    soa->t_bytes.resize(D);
-    soa->t_is_load.resize(D);
-    soa->t_first_use.resize(D);
+    for (double e : parsed.tile_energy_pj) sum_energy += e;
     Bytes sum_bytes = 0;
-    for (int j = 0; j < D; ++j) {
-        const DramTensor &t = parsed.tensors[j];
-        soa->t_bytes[j] = t.bytes;
-        sum_bytes += t.bytes;
-        soa->t_is_load[j] = t.IsLoad() ? 1 : 0;
-        soa->t_first_use[j] = t.first_use;
-    }
-    soa->sum_seconds = sum_seconds;
-    soa->sum_energy_pj = sum_energy;
-    soa->sum_dram_bytes = sum_bytes;
-    soa->built_for = &parsed;
-    soa->hw_for = nullptr;
-}
-
-void
-EvalContext::FillDramSeconds(const HardwareConfig &hw, TimelineSoA *soa)
-{
-    const int D = soa->D();
+    for (const DramTensor &t : parsed.tensors) sum_bytes += t.bytes;
+    fill->sum_seconds = sum_seconds;
+    fill->sum_energy_pj = sum_energy;
+    fill->sum_dram_bytes = sum_bytes;
     if (hw.memory_model == nullptr) {
         // Default (analytical) path kept inline so a null seam is
         // trivially the legacy math: DramSeconds is a pure function of
         // the byte count, so hoisting it out of the event loop cannot
         // change a single result bit.
-        soa->t_dram_seconds.resize(D);
+        fill->t_dram_seconds.resize(D);
         for (int j = 0; j < D; ++j)
-            soa->t_dram_seconds[j] = hw.DramSeconds(soa->t_bytes[j]);
-        soa->dram_busy_seconds = hw.DramSeconds(soa->sum_dram_bytes);
+            fill->t_dram_seconds[j] = hw.DramSeconds(parsed.tensors[j].bytes);
+        fill->dram_busy_seconds = hw.DramSeconds(sum_bytes);
     } else {
         // Seam path. The model sees the tensor-index-ordered transfer
         // list; its contract (memory_model.h) makes the fill a pure
         // function of (parse, hw), which is all the delta/splice logic
         // relies on — the hot loop only ever reads this array.
+        fill_bytes_.resize(D);
+        fill_is_load_.resize(D);
+        for (int j = 0; j < D; ++j) {
+            fill_bytes_[j] = parsed.tensors[j].bytes;
+            fill_is_load_[j] = parsed.tensors[j].IsLoad() ? 1 : 0;
+        }
         DramTransferList transfers;
-        transfers.bytes = soa->t_bytes.data();
-        transfers.is_load = soa->t_is_load.data();
+        transfers.bytes = fill_bytes_.data();
+        transfers.is_load = fill_is_load_.data();
         transfers.count = D;
         hw.memory_model->FillTransferSeconds(hw, transfers,
-                                             &soa->t_dram_seconds);
-        soa->dram_busy_seconds = hw.memory_model->ChannelBusySeconds(
-            hw, soa->sum_dram_bytes, soa->t_dram_seconds);
+                                             &fill->t_dram_seconds);
+        fill->dram_busy_seconds = hw.memory_model->ChannelBusySeconds(
+            hw, sum_bytes, fill->t_dram_seconds);
     }
-    soa->hw_for = &hw;
-}
-
-const EvalContext::TimelineSoA &
-EvalContext::SoAFor(const ParsedSchedule &parsed, const HardwareConfig &hw)
-{
-    TimelineSoA *soa;
-    if (&parsed == &parsed_storage_[0]) {
-        soa = &soa_[0];
-    } else if (&parsed == &parsed_storage_[1]) {
-        soa = &soa_[1];
-    } else {
-        soa = &soa_ext_;
-    }
-    if (soa->built_for != &parsed) BuildSoA(parsed, soa);
-    if (soa->hw_for != &hw) FillDramSeconds(hw, soa);
-    return *soa;
+    fill->parse = &parsed;
+    fill->hw = &hw;
+    return *fill;
 }
 
 void
@@ -281,18 +254,18 @@ EvalContext::SpliceSuffix(const Side &base, Side *side, int ci, int di)
 
 template <bool kWindowed>
 bool
-EvalContext::RunTimelineImpl(const TimelineSoA &soa, Side *side, int ci,
-                             int di, double dram_prev_finish, SpliceWindow *w)
+EvalContext::RunTimelineImpl(const ParsedSchedule &parsed,
+                             const HwFill &fill, Side *side, int ci, int di,
+                             double dram_prev_finish, SpliceWindow *w)
 {
-    const int T = soa.T();
-    const int D = soa.D();
+    const int T = parsed.NumTiles();
+    const int D = parsed.NumTensors();
     EvalReport &rep = side->report;
-    const double *tile_seconds = soa.tile_seconds.data();
-    const double *t_dram = soa.t_dram_seconds.data();
-    const int *need_off = soa.need_off.data();
-    const int *need_idx = soa.need_idx.data();
-    const unsigned char *is_load = soa.t_is_load.data();
-    const TilePos *first_use = soa.t_first_use.data();
+    const double *tile_seconds = parsed.tile_seconds.data();
+    const double *t_dram = fill.t_dram_seconds.data();
+    const int *need_off = parsed.need_off.data();
+    const int *need_idx = parsed.need_idx.data();
+    const DramTensor *tensors = parsed.tensors.data();
 
     while (ci < T || di < D) {
         bool progress = false;
@@ -313,13 +286,14 @@ EvalContext::RunTimelineImpl(const TimelineSoA &soa, Side *side, int ci,
             }
             const int j = side->order[di];
             double ready;
-            if (is_load[j]) {
+            if (tensors[j].IsLoad()) {
                 TilePos s = side->free_point[j];
                 if (s > ci) break;  // tiles before Start not yet scheduled
                 ready = (s == 0) ? 0.0 : side->tile_finish[s - 1];
             } else {
-                if (first_use[j] >= ci) break;  // producer not scheduled
-                ready = side->tile_finish[first_use[j]];
+                const TilePos producer = tensors[j].first_use;
+                if (producer >= ci) break;  // producer not scheduled
+                ready = side->tile_finish[producer];
             }
             const double start = std::max(dram_prev_finish, ready);
             const double finish = start + t_dram[j];
@@ -391,31 +365,33 @@ EvalContext::RunTimelineImpl(const TimelineSoA &soa, Side *side, int ci,
 }
 
 bool
-EvalContext::RunTimeline(const TimelineSoA &soa, Side *side, int ci, int di,
-                         double dram_prev_finish)
+EvalContext::RunTimeline(const ParsedSchedule &parsed, const HwFill &fill,
+                         Side *side, int ci, int di, double dram_prev_finish)
 {
     SOMA_PROF_SCOPE("eval.timeline");
-    return RunTimelineImpl<false>(soa, side, ci, di, dram_prev_finish,
-                                  nullptr);
+    return RunTimelineImpl<false>(parsed, fill, side, ci, di,
+                                  dram_prev_finish, nullptr);
 }
 
 bool
-EvalContext::RunTimelineWindowed(const TimelineSoA &soa, Side *side, int ci,
+EvalContext::RunTimelineWindowed(const ParsedSchedule &parsed,
+                                 const HwFill &fill, Side *side, int ci,
                                  int di, double dram_prev_finish,
                                  SpliceWindow *w)
 {
     SOMA_PROF_SCOPE("eval.timeline.delta");
-    return RunTimelineImpl<true>(soa, side, ci, di, dram_prev_finish, w);
+    return RunTimelineImpl<true>(parsed, fill, side, ci, di,
+                                 dram_prev_finish, w);
 }
 
 void
-EvalContext::FinalizeAggregates(const TimelineSoA &soa,
-                                const HardwareConfig &hw, Ops total_ops,
-                                Side *side, double known_latency,
-                                double known_avg)
+EvalContext::FinalizeAggregates(const ParsedSchedule &parsed,
+                                const HwFill &fill, const HardwareConfig &hw,
+                                Ops total_ops, Side *side,
+                                double known_latency, double known_avg)
 {
     EvalReport &rep = side->report;
-    const int T = soa.T();
+    const int T = parsed.NumTiles();
 
     double makespan;
     if (known_latency >= 0.0) {
@@ -429,11 +405,11 @@ EvalContext::FinalizeAggregates(const TimelineSoA &soa,
     }
     rep.latency = makespan;
 
-    rep.compute_busy = soa.sum_seconds;
-    rep.dram_bytes = soa.sum_dram_bytes;
-    rep.dram_busy = soa.dram_busy_seconds;
-    rep.core_energy_j = soa.sum_energy_pj * 1e-12;
-    rep.dram_energy_j = static_cast<double>(soa.sum_dram_bytes) *
+    rep.compute_busy = fill.sum_seconds;
+    rep.dram_bytes = fill.sum_dram_bytes;
+    rep.dram_busy = fill.dram_busy_seconds;
+    rep.core_energy_j = fill.sum_energy_pj * 1e-12;
+    rep.dram_energy_j = static_cast<double>(fill.sum_dram_bytes) *
                         hw.energy.dram_pj_per_byte * 1e-12;
 
     double peak_ops = hw.PeakOpsPerSecond();
@@ -454,7 +430,7 @@ EvalContext::FinalizeAggregates(const TimelineSoA &soa,
         double weighted = 0.0;
         for (int s = 0; s < T; ++s)
             weighted += static_cast<double>(side->usage[s]) *
-                        soa.tile_seconds[s];
+                        parsed.tile_seconds[s];
         rep.avg_buffer =
             rep.compute_busy > 0.0 ? weighted / rep.compute_busy : 0.0;
     }
@@ -474,9 +450,9 @@ EvalContext::Evaluate(const Graph &graph, const HardwareConfig &hw,
     arena_.Reset();
 
     // External parses have no invalidation hook (Parse only guards the
-    // context-owned slots), so re-mirror them on every full pass.
+    // context-owned slots), so refill them on every full pass.
     if (&parsed != OwnCandParse() && &parsed != OwnBaseParse())
-        soa_ext_.built_for = nullptr;
+        fill_ext_.parse = nullptr;
 
     Side &side = sides_[cand_];
     EvalReport &rep = side.report;
@@ -514,7 +490,7 @@ EvalContext::Evaluate(const Graph &graph, const HardwareConfig &hw,
     RebuildStoreBuckets(parsed, side);
     buckets_for_base_ = false;
 
-    const TimelineSoA &soa = SoAFor(parsed, hw);
+    const HwFill &fill = FillFor(parsed, hw);
 
     // --- Two serial resources, two-pointer list scheduling ---
     side.tile_finish.assign(T, 0.0);
@@ -529,12 +505,12 @@ EvalContext::Evaluate(const Graph &graph, const HardwareConfig &hw,
     cand_budget_ = buffer_budget;
     cand_ops_ = total_ops;
 
-    if (!RunTimeline(soa, &side, 0, 0, 0.0)) {
+    if (!RunTimeline(parsed, fill, &side, 0, 0, 0.0)) {
         rep.why_invalid = "schedule deadlock (DLSA order)";
         return rep;
     }
 
-    FinalizeAggregates(soa, hw, total_ops, &side);
+    FinalizeAggregates(parsed, fill, hw, total_ops, &side);
     rep.valid = true;
     return rep;
 }
@@ -709,13 +685,13 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
     if (!(ci0 == T && di0 == D)) {
         double dram_prev =
             di0 > 0 ? side.tensor_finish[side.order[di0 - 1]] : 0.0;
-        const TimelineSoA &soa = SoAFor(parsed, hw);
+        const HwFill &fill = FillFor(parsed, hw);
         SpliceWindow w;
         w.base = &base;
         w.min_ci = min_ci;
         w.min_di = min_di;
-        const bool ok =
-            RunTimelineWindowed(soa, &side, ci0, di0, dram_prev, &w);
+        const bool ok = RunTimelineWindowed(parsed, fill, &side, ci0, di0,
+                                            dram_prev, &w);
         ++delta_stats_.windowed_runs;
         delta_stats_.window_events += static_cast<std::uint64_t>(w.events);
         delta_stats_.last_window_events = w.events;
@@ -737,12 +713,12 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
             rep.why_invalid = "schedule deadlock (DLSA order)";
             return rep;
         }
-        FinalizeAggregates(soa, hw, total_ops, &side, known_latency,
-                           known_avg);
+        FinalizeAggregates(parsed, fill, hw, total_ops, &side,
+                           known_latency, known_avg);
     } else {
         // The copied arrays ARE the candidate's timeline.
-        FinalizeAggregates(SoAFor(parsed, hw), hw, total_ops, &side,
-                           base.report.latency, known_avg);
+        FinalizeAggregates(parsed, FillFor(parsed, hw), hw, total_ops,
+                           &side, base.report.latency, known_avg);
     }
     rep.valid = true;
     if (cross_check_) {
@@ -762,7 +738,8 @@ EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
     RevertPendingStoreMove();
     if (!base_ok_ || &parsed != OwnCandParse() ||
         base_parsed_ != OwnBaseParse() || base_budget_ != buffer_budget ||
-        base_ops_ != total_ops || !parsed.valid) {
+        base_ops_ != total_ops || !parsed.valid ||
+        parsed.group_spans.empty() || base_parsed_->group_spans.empty()) {
         ++delta_stats_.full_fallbacks;
         return Evaluate(graph, hw, parsed, dlsa, buffer_budget, total_ops);
     }
@@ -772,39 +749,59 @@ EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
 
     const ParsedSchedule &bp = *base_parsed_;
     const Side &base = sides_[base_];
-    const TimelineSoA &sc = SoAFor(parsed, hw);
-    const TimelineSoA &sb = SoAFor(bp, hw);
-    const int T = sc.T(), D = sc.D();
-    const int Tb = sb.T(), Db = sb.D();
-    const int Tmin = std::min(T, Tb);
+    const HwFill &fill = FillFor(parsed, hw);
+    const int T = parsed.NumTiles(), D = parsed.NumTensors();
+    const int Tb = bp.NumTiles(), Db = bp.NumTensors();
     const int Dmin = std::min(D, Db);
+    const bool same_shape = T == Tb && D == Db;
 
-    // --- First/last-diff scans over the SoA mirrors ---
-    auto tile_eq = [&](int t) {
-        if (sc.tile_seconds[t] != sb.tile_seconds[t]) return false;
-        const int cb = sc.need_off[t], ce = sc.need_off[t + 1];
-        const int bb = sb.need_off[t], be = sb.need_off[t + 1];
-        if (ce - cb != be - bb) return false;
-        return std::equal(sc.need_idx.begin() + cb, sc.need_idx.begin() + ce,
-                          sb.need_idx.begin() + bb);
+    // --- The structural window, from the stitch: groups with equal
+    // spans (block state, offsets, cross-group decisions) hold equal
+    // tiles and tensors. Candidate tiles [it0, it_end) and tensors
+    // [j0, j_end) may differ; everything outside them is the base's. ---
+    const std::vector<GroupSpan> &gc = parsed.group_spans;
+    const std::vector<GroupSpan> &gb = bp.group_spans;
+    const int Gc = static_cast<int>(gc.size());
+    const int Gb = static_cast<int>(gb.size());
+    auto flags_of = [](const ParsedSchedule &p, int g) {
+        const auto &spans = p.group_spans;
+        const std::size_t end =
+            g + 1 < static_cast<int>(spans.size())
+                ? static_cast<std::size_t>(spans[g + 1].flags_begin)
+                : p.group_flags.size();
+        return std::make_pair(p.group_flags.begin() + spans[g].flags_begin,
+                              p.group_flags.begin() + end);
     };
-    auto tensor_eq = [&](int j) {
-        return j < Dmin && sc.t_bytes[j] == sb.t_bytes[j] &&
-               sc.t_is_load[j] == sb.t_is_load[j] &&
-               sc.t_first_use[j] == sb.t_first_use[j] &&
-               dlsa.free_point[j] == base.free_point[j];
+    auto same_group = [&](int c, int b) {
+        if (gc[c].stamp != gb[b].stamp ||
+            gc[c].tile_begin != gb[b].tile_begin ||
+            gc[c].tensor_begin != gb[b].tensor_begin)
+            return false;
+        const auto fc = flags_of(parsed, c);
+        const auto fb = flags_of(bp, b);
+        return std::equal(fc.first, fc.second, fb.first, fb.second);
     };
-
-    int it0 = (T == Tb) ? T : Tmin;  // first differing tile slot
-    for (int t = 0; t < Tmin; ++t) {
-        if (!tile_eq(t)) { it0 = t; break; }
-    }
-    int it_hi = -1;  // last differing tile slot (splice bound)
-    if (T == Tb && it0 < T) {
-        for (int t = T - 1; t >= it0; --t) {
-            if (!tile_eq(t)) { it_hi = t; break; }
+    int g0 = 0;
+    while (g0 < Gc && g0 < Gb && same_group(g0, g0)) ++g0;
+    int gc_end = Gc, gb_end = Gb;
+    if (same_shape) {
+        while (gc_end > g0 && gb_end > g0 &&
+               same_group(gc_end - 1, gb_end - 1)) {
+            --gc_end;
+            --gb_end;
         }
     }
+    const int it0 = g0 < Gc ? gc[g0].tile_begin : T;
+    const int j0 = g0 < Gc ? gc[g0].tensor_begin : D;
+    const int it_end = gc_end < Gc ? gc[gc_end].tile_begin : T;
+    const int j_end = gc_end < Gc ? gc[gc_end].tensor_begin : D;
+    // Last tile slot that may differ (splice bound; -1: none).
+    const int it_hi = same_shape && it_end > it0 ? it_end - 1 : -1;
+
+    auto tensor_eq = [&](int j) {
+        return j < Dmin && (j < j0 || (same_shape && j >= j_end)) &&
+               dlsa.free_point[j] == base.free_point[j];
+    };
 
     // Store gate slots whose membership can differ between the sides.
     int s_lo = std::numeric_limits<int>::max();
@@ -813,11 +810,13 @@ EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
         const int Dmax = std::max(D, Db);
         for (int j = 0; j < Dmax; ++j) {
             if (tensor_eq(j)) continue;
-            if (j < D && !sc.t_is_load[j] && dlsa.free_point[j] < T) {
+            if (j < D && !parsed.tensors[j].IsLoad() &&
+                dlsa.free_point[j] < T) {
                 s_lo = std::min(s_lo, static_cast<int>(dlsa.free_point[j]));
                 s_hi = std::max(s_hi, static_cast<int>(dlsa.free_point[j]));
             }
-            if (j < Db && !sb.t_is_load[j] && base.free_point[j] < Tb) {
+            if (j < Db && !bp.tensors[j].IsLoad() &&
+                base.free_point[j] < Tb) {
                 s_lo = std::min(s_lo, static_cast<int>(base.free_point[j]));
                 s_hi = std::max(s_hi, static_cast<int>(base.free_point[j]));
             }
@@ -852,8 +851,9 @@ EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
     side.rank_of.assign(D, 0);
     for (int r = 0; r < D; ++r) side.rank_of[side.order[r]] = r;
 
-    // Occupancy is recomputed outright (onchip intervals are not part
-    // of the diff scans); identical arithmetic to the full path.
+    // Occupancy is recomputed outright (on-chip intervals and load
+    // release points lie outside the timeline window); identical
+    // arithmetic to the full path.
     ComputeBufferBySlot(parsed, side.free_point,
                         arena_.AllocArray<Bytes>(parsed.NumTiles() + 1),
                         &side.usage);
@@ -940,7 +940,8 @@ EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
             w.base = &base;
             w.min_di = last_bad + 1;
             w.min_ci = std::max(it_hi, s_hi) + 1;
-            ok = RunTimelineWindowed(sc, &side, cstar, dstar, dram_prev, &w);
+            ok = RunTimelineWindowed(parsed, fill, &side, cstar, dstar,
+                                     dram_prev, &w);
             ++delta_stats_.windowed_runs;
             delta_stats_.window_events +=
                 static_cast<std::uint64_t>(w.events);
@@ -951,7 +952,7 @@ EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
             }
         } else {
             // Sizes differ: only the prefix is shared; no splice.
-            ok = RunTimeline(sc, &side, cstar, dstar, dram_prev);
+            ok = RunTimeline(parsed, fill, &side, cstar, dstar, dram_prev);
         }
         if (!ok) {
             // Deadlock: defer to the full evaluator for the canonical
@@ -962,7 +963,7 @@ EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
         }
     }
 
-    FinalizeAggregates(sc, hw, total_ops, &side, known_latency);
+    FinalizeAggregates(parsed, fill, hw, total_ops, &side, known_latency);
     rep.valid = true;
     if (cross_check_) {
         CrossCheckAgainstFull(hw, parsed, dlsa, buffer_budget, total_ops,
@@ -1001,14 +1002,14 @@ EvalContext::CrossCheckAgainstFull(const HardwareConfig &hw,
     ref.rank_at_tile.assign(T, 0);
     rrep.tile_times.assign(T, EventTiming{});
     rrep.tensor_times.assign(D, EventTiming{});
-    const TimelineSoA &soa = SoAFor(parsed, hw);
+    const HwFill &fill = FillFor(parsed, hw);
     // The store buckets describe `dlsa` after every fast path (order
     // and load moves leave them untouched, a store move was applied,
     // the LFA path rebuilt them) — the reference run uses them as-is.
     const bool ok =
-        peak <= buffer_budget && RunTimeline(soa, &ref, 0, 0, 0.0);
+        peak <= buffer_budget && RunTimeline(parsed, fill, &ref, 0, 0, 0.0);
     if (ok) {
-        FinalizeAggregates(soa, hw, total_ops, &ref);
+        FinalizeAggregates(parsed, fill, hw, total_ops, &ref);
         rrep.valid = true;
     }
     // The two-pointer bookkeeping (ci_at_rank / rank_at_tile) records
@@ -1044,7 +1045,7 @@ EvalContext::Commit()
     base_ok_ = sides_[base_].report.valid;
     // Candidate evaluated against the context-owned parse slot: flip
     // the double buffer so the next Parse leaves the base's parse (and
-    // its SoA mirror) intact.
+    // its hardware fill) intact.
     if (base_parsed_ == OwnCandParse()) std::swap(ps_cand_, ps_base_);
 }
 

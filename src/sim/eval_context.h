@@ -14,16 +14,18 @@
  *    (tile, rank) checkpoint and *splice* back into the base timeline
  *    as soon as the recomputed window reconverges with it bit-for-bit,
  *    so only the perturbed region is simulated.
- *  - EvaluateLfa: LFA mutations re-parse the scheme; a first-diff scan
- *    of the new parse against the committed base's parse derives the
- *    affected window, the unchanged timeline prefix is copied verbatim,
+ *  - EvaluateLfa: LFA mutations re-parse the scheme; the incremental
+ *    parse's group spans name the first and last FLG whose memo block,
+ *    offsets or cross-group decisions changed against the committed
+ *    base's parse, the unchanged timeline prefix is copied verbatim,
  *    and the window is re-simulated with the same splice rule.
  *
- * Timeline state is mirrored into SoA arrays (per-tile seconds, CSR
- * operand lists, per-tensor DRAM seconds, cached aggregate sums) so the
- * window re-simulation and the first-diff scans run over contiguous
- * memory; per-candidate transient scratch comes from one MonotonicArena
- * reset at the top of each evaluation.
+ * The timeline reads the parse's own columns (per-tile seconds, CSR
+ * need lists, the tensor table); the context only adds what depends on
+ * the hardware — per-tensor DRAM seconds and cached aggregate sums,
+ * refilled when the parse or hardware changes. Per-candidate transient
+ * scratch comes from one MonotonicArena reset at the top of each
+ * evaluation.
  *
  * Incremental results are bit-identical to full evaluation: the resumed
  * timeline executes the same recurrences on the same operands, the
@@ -176,10 +178,11 @@ class EvalContext {
     /**
      * Evaluate an LFA-stage candidate: @p parsed must be the result of
      * this context's latest Parse call. When the committed base was
-     * also evaluated against a context-owned parse, a first-diff scan
-     * of the two parses derives the affected timeline window; the
-     * unchanged prefix is copied from the base and only the window (and
-     * whatever suffix fails to splice) is re-simulated. Falls back to
+     * also evaluated against a context-owned parse, the two parses'
+     * group spans bound the affected timeline window (DLSA differences
+     * are found by comparing the two encodings); the unchanged prefix
+     * is copied from the base and only the window (and whatever suffix
+     * fails to splice) is re-simulated. Falls back to
      * Evaluate whenever no window can be derived (no base, different
      * tile/tensor counts, different budget). Bit-identical to Evaluate
      * in all cases.
@@ -234,31 +237,20 @@ class EvalContext {
         std::vector<TilePos> free_point;
     };
 
-    /** SoA mirror of the timeline-relevant parse content: contiguous
-     *  arrays the inner loop and the first-diff scans stream over,
-     *  plus the aggregate sums FinalizeAggregates would otherwise
-     *  recompute per candidate. Rebuilt only when the backing parse
-     *  changes (tracked by pointer identity, like the base parse). */
-    struct TimelineSoA {
-        const ParsedSchedule *built_for = nullptr;
-        const HardwareConfig *hw_for = nullptr;
-        std::vector<double> tile_seconds;
-        std::vector<int> need_off;  ///< CSR offsets, size T+1
-        std::vector<int> need_idx;  ///< CSR operand-load indices
-        std::vector<Bytes> t_bytes;
-        /// Per-tensor channel seconds from the hw's MemoryModel seam
-        /// (hw.DramSeconds(bytes) for the analytical/null backend).
+    /** What a parse costs on one hardware: per-tensor channel seconds
+     *  from the hw's MemoryModel seam, plus the aggregate sums
+     *  FinalizeAggregates would otherwise recompute per candidate.
+     *  Refilled only when the parse or the hardware changes (tracked by
+     *  pointer identity, like the base parse). */
+    struct HwFill {
+        const ParsedSchedule *parse = nullptr;
+        const HardwareConfig *hw = nullptr;
         std::vector<double> t_dram_seconds;
-        std::vector<unsigned char> t_is_load;
-        std::vector<TilePos> t_first_use;
         double sum_seconds = 0.0;    ///< == full-eval compute_busy
         double sum_energy_pj = 0.0;  ///< == full-eval core picojoules
         Bytes sum_dram_bytes = 0;    ///< == parsed.TotalDramBytes()
-        /// Model-provided aggregate for EvalReport::dram_busy, filled
-        /// alongside t_dram_seconds (constant per (parse, hw)).
+        /// Model-provided aggregate for EvalReport::dram_busy.
         double dram_busy_seconds = 0.0;
-        int T() const { return static_cast<int>(tile_seconds.size()); }
-        int D() const { return static_cast<int>(t_bytes.size()); }
     };
 
     /** Windowed-run state: the base trajectory to reconverge with and
@@ -275,33 +267,32 @@ class EvalContext {
     void ResetReportForEval(const ParsedSchedule &parsed, EvalReport *rep);
     static void ResetAggregates(EvalReport *rep);
 
-    /** The soa_[] slot mirroring @p parsed, rebuilt/refreshed on
-     *  demand. */
-    const TimelineSoA &SoAFor(const ParsedSchedule &parsed,
-                              const HardwareConfig &hw);
-    static void BuildSoA(const ParsedSchedule &parsed, TimelineSoA *soa);
-    static void FillDramSeconds(const HardwareConfig &hw, TimelineSoA *soa);
+    /** The fill_[] slot for @p parsed on @p hw, refilled on demand. */
+    const HwFill &FillFor(const ParsedSchedule &parsed,
+                          const HardwareConfig &hw);
 
     template <bool kWindowed>
-    bool RunTimelineImpl(const TimelineSoA &soa, Side *side, int ci, int di,
-                         double dram_prev_finish, SpliceWindow *w);
+    bool RunTimelineImpl(const ParsedSchedule &parsed, const HwFill &fill,
+                         Side *side, int ci, int di, double dram_prev_finish,
+                         SpliceWindow *w);
     /** Where a failed (deadlocked) timeline run left its heads — the
      *  first unwritten tile slot / DRAM rank, so delta callers can
      *  clear exactly the stale suffix of their prefix-copied report. */
     int run_dead_ci_ = 0;
     int run_dead_di_ = 0;
-    bool RunTimeline(const TimelineSoA &soa, Side *side, int ci, int di,
-                     double dram_prev_finish);
-    bool RunTimelineWindowed(const TimelineSoA &soa, Side *side, int ci,
-                             int di, double dram_prev_finish,
-                             SpliceWindow *w);
+    bool RunTimeline(const ParsedSchedule &parsed, const HwFill &fill,
+                     Side *side, int ci, int di, double dram_prev_finish);
+    bool RunTimelineWindowed(const ParsedSchedule &parsed,
+                             const HwFill &fill, Side *side, int ci, int di,
+                             double dram_prev_finish, SpliceWindow *w);
     static void SpliceSuffix(const Side &base, Side *side, int ci, int di);
 
     /** @p known_latency >= 0 skips the makespan scan (splice proved the
      *  timeline equals the base's, whose latency it is); @p known_avg
      *  >= 0 likewise skips the weighted-usage scan (the buffer profile
      *  is bitwise the base's, e.g. after an order move). */
-    void FinalizeAggregates(const TimelineSoA &soa, const HardwareConfig &hw,
+    void FinalizeAggregates(const ParsedSchedule &parsed,
+                            const HwFill &fill, const HardwareConfig &hw,
                             Ops total_ops, Side *side,
                             double known_latency = -1.0,
                             double known_avg = -1.0);
@@ -338,10 +329,14 @@ class EvalContext {
     DlsaCheckScratch check_scratch_;
     std::string why_scratch_;
 
-    /** SoA mirrors for the two parse slots + one for external parses
+    /** Fills for the two parse slots + one for external parses
      *  (DLSA-stage walks evaluate one caller-owned parse). */
-    TimelineSoA soa_[2];
-    TimelineSoA soa_ext_;
+    HwFill fill_[2];
+    HwFill fill_ext_;
+    /** Seam-path scratch: the transfer list's byte and direction
+     *  columns. */
+    std::vector<Bytes> fill_bytes_;
+    std::vector<unsigned char> fill_is_load_;
 
     MonotonicArena arena_;  ///< per-candidate scratch, reset per eval
 

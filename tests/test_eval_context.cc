@@ -185,8 +185,8 @@ MakeDeadlockParse()
     p.valid = true;
     p.num_flgs = 1;
     p.num_lgs = 1;
-    p.tiles.resize(3);
-    for (TileInfo &t : p.tiles) t.cost.seconds = 1e-3;
+    p.tile_seconds.assign(3, 1e-3);
+    p.tile_energy_pj.assign(3, 0.0);
     DramTensor l0;
     l0.kind = DramTensorKind::kWeight;
     l0.layer = 0;
@@ -197,8 +197,8 @@ MakeDeadlockParse()
     l1.layer = 1;
     l1.first_use = 2;
     p.tensors = {l0, l1};
-    p.tiles[0].need_loads = {0};
-    p.tiles[2].need_loads = {1};
+    p.need_off = {0, 1, 1, 2};  // tile 0 needs tensor 0, tile 2 tensor 1
+    p.need_idx = {0, 1};
     return p;
 }
 
@@ -290,11 +290,15 @@ TEST(EvalContext, ParseMatchesParseLfa)
         EXPECT_EQ(a.tensors[j].fixed_end, b.tensors[j].fixed_end) << j;
     }
     for (int i = 0; i < a.NumTiles(); ++i) {
-        EXPECT_EQ(a.tiles[i].layer, b.tiles[i].layer) << i;
-        EXPECT_EQ(a.tiles[i].cost.seconds, b.tiles[i].cost.seconds) << i;
-        EXPECT_EQ(a.tiles[i].need_loads, b.tiles[i].need_loads) << i;
+        EXPECT_EQ(a.tile_seconds[i], b.tiles[i].cost.seconds) << i;
+        EXPECT_EQ(a.tile_energy_pj[i], b.tiles[i].cost.energy_pj) << i;
     }
+    EXPECT_EQ(a.need_off, b.need_off);
+    EXPECT_EQ(a.need_idx, b.need_idx);
     ASSERT_EQ(a.onchip.size(), b.onchip.size());
+    // Only the from-scratch parse materializes tile rows.
+    EXPECT_TRUE(a.tiles.empty());
+    EXPECT_EQ(static_cast<int>(b.tiles.size()), b.NumTiles());
 }
 
 }  // namespace

@@ -329,8 +329,8 @@ TEST(Evaluator, TimelineMonotoneAndConsistent)
     }
     // Loads finish before their consuming tile starts.
     for (int i = 0; i < p.NumTiles(); ++i) {
-        for (int j : p.tiles[i].need_loads) {
-            EXPECT_LE(r.tensor_times[j].finish,
+        for (const int *j = p.NeedBegin(i); j != p.NeedEnd(i); ++j) {
+            EXPECT_LE(r.tensor_times[*j].finish,
                       r.tile_times[i].start + kEps);
         }
     }

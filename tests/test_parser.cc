@@ -159,15 +159,13 @@ TEST_F(ParserTest, NeedLoadsAttachedAtFirstUse)
 {
     ParsedSchedule p = ParseLfa(graph_, Fig4Encoding(), eval_);
     // Tile 0 (A round 0) needs WA and IA1.
-    EXPECT_EQ(p.tiles[0].need_loads.size(), 2u);
+    EXPECT_EQ(p.NeedEnd(0) - p.NeedBegin(0), 2);
     // Tile 2 (B) needs WB only (reads A on-chip).
-    ASSERT_EQ(p.tiles[2].need_loads.size(), 1u);
-    EXPECT_EQ(p.tensors[p.tiles[2].need_loads[0]].kind,
-              DramTensorKind::kWeight);
+    ASSERT_EQ(p.NeedEnd(2) - p.NeedBegin(2), 1);
+    EXPECT_EQ(p.tensors[*p.NeedBegin(2)].kind, DramTensorKind::kWeight);
     // Tile 3 (C round 0) needs IC1 only (pool has no weights).
-    ASSERT_EQ(p.tiles[3].need_loads.size(), 1u);
-    EXPECT_EQ(p.tensors[p.tiles[3].need_loads[0]].kind,
-              DramTensorKind::kIfmap);
+    ASSERT_EQ(p.NeedEnd(3) - p.NeedBegin(3), 1);
+    EXPECT_EQ(p.tensors[*p.NeedBegin(3)].kind, DramTensorKind::kIfmap);
 }
 
 TEST_F(ParserTest, FreePointRanges)
