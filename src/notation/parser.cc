@@ -485,11 +485,53 @@ SameSpan(const GroupSpan &a, const std::uint64_t *a_flags,
                       b_flags + b.flags_begin, b_flags + b_next.flags_begin);
 }
 
-/** Concatenate the groups' segments in FLG order into @p out, keeping
- *  the leading groups @p out already holds unchanged. */
+/** How many leading groups of the planned parse (@p spans, @p flags)
+ *  @p prev holds unchanged. */
+int
+SharedPrefix(const std::vector<GroupSpan> &spans,
+             const std::vector<std::uint64_t> &flags,
+             const ParsedSchedule &prev)
+{
+    const std::vector<GroupSpan> &old = prev.group_spans;
+    const int groups = static_cast<int>(spans.size()) - 1;
+    const int old_groups = static_cast<int>(old.size()) - 1;
+    int g = 0;
+    while (g < groups && g < old_groups &&
+           SameSpan(spans[g], flags.data(), spans[g + 1], old[g],
+                    prev.group_flags.data(), old[g + 1]))
+        ++g;
+    return g;
+}
+
+/** How many trailing groups of the planned parse @p prev holds
+ *  unchanged at the same tile positions, leaving the first @p floor
+ *  groups out. */
+int
+SharedSuffix(const std::vector<GroupSpan> &spans,
+             const std::vector<std::uint64_t> &flags,
+             const ParsedSchedule &prev, int floor)
+{
+    const std::vector<GroupSpan> &old = prev.group_spans;
+    const int groups = static_cast<int>(spans.size()) - 1;
+    const int old_groups = static_cast<int>(old.size()) - 1;
+    int k = 0;
+    while (k < groups - floor && k < old_groups &&
+           SameSpan(spans[groups - 1 - k], flags.data(), spans[groups - k],
+                    old[old_groups - 1 - k], prev.group_flags.data(),
+                    old[old_groups - k]))
+        ++k;
+    return k;
+}
+
+/** Concatenate the groups' segments in FLG order into @p out. Leading
+ *  groups that @p out or @p like (an earlier output, may be null) holds
+ *  unchanged are taken from it, and so are the trailing ones @p like
+ *  holds unchanged at the same positions, whichever source saves more;
+ *  the groups in between are emitted from their blocks. */
 void
 Stitch(const Graph &graph, const LfaEncoding &lfa,
-       const ParseOptions &popts, ParseScratch *s, ParsedSchedule *out)
+       const ParseOptions &popts, ParseScratch *s,
+       const ParsedSchedule *like, ParsedSchedule *out)
 {
     const int num_flgs = lfa.NumFlgs();
     std::vector<TilePos> &flg_begin = s->flg_begin;
@@ -601,43 +643,65 @@ Stitch(const Graph &graph, const LfaEncoding &lfa,
     spans[num_flgs].tile_begin = total;
     spans[num_flgs].flags_begin = static_cast<int>(s->flags.size());
 
-    // Keep the leading groups whose spans equal the ones @p out holds
-    // from the previous parse written into it.
-    const std::vector<GroupSpan> &old = out->group_spans;
+    // Take the leading (and trailing) groups whose spans equal an
+    // earlier output's.
+    int g0 = SharedPrefix(spans, s->flags, *out);
+    int tail = 0;
+    const ParsedSchedule *from = out;
+    if (like != nullptr) {
+        const int like_g0 = SharedPrefix(spans, s->flags, *like);
+        const int like_tail = SharedSuffix(spans, s->flags, *like, like_g0);
+        if (like_g0 + like_tail > g0) {
+            g0 = like_g0;
+            tail = like_tail;
+            from = like;
+        }
+    }
+    const ParsedSchedule &prev = *from;
+    const std::vector<GroupSpan> &old = prev.group_spans;
     const int old_groups = static_cast<int>(old.size()) - 1;
-    int g0 = 0;
-    while (g0 < num_flgs && g0 < old_groups &&
-           SameSpan(spans[g0], s->flags.data(), spans[g0 + 1], old[g0],
-                    out->group_flags.data(), old[g0 + 1]))
-        ++g0;
     GroupSpan cut;
     if (old_groups >= 0) cut = old[g0];
     for (int g = 0; g < g0; ++g) {
         spans[g].tensor_begin = old[g].tensor_begin;
         spans[g].onchip_begin = old[g].onchip_begin;
     }
-    const int keep_needs = old_groups >= 0 ? out->need_off[cut.tile_begin] : 0;
-    out->tensors.resize(cut.tensor_begin);
-    out->onchip.resize(cut.onchip_begin);
-    out->need_idx.resize(keep_needs);
+    const int keep_needs = old_groups >= 0 ? prev.need_off[cut.tile_begin] : 0;
+    if (&prev == out) {
+        out->tensors.resize(cut.tensor_begin);
+        out->onchip.resize(cut.onchip_begin);
+        out->need_idx.resize(keep_needs);
+    } else {
+        auto take = [](const auto &from, std::size_t count, auto *to) {
+            to->assign(from.begin(), from.begin() + count);
+        };
+        take(prev.tensors, cut.tensor_begin, &out->tensors);
+        take(prev.onchip, cut.onchip_begin, &out->onchip);
+        take(prev.need_idx, keep_needs, &out->need_idx);
+        take(prev.tile_seconds, cut.tile_begin, &out->tile_seconds);
+        take(prev.tile_energy_pj, cut.tile_begin, &out->tile_energy_pj);
+        take(prev.need_off, cut.tile_begin, &out->need_off);
+    }
     out->tile_seconds.resize(total);
     out->tile_energy_pj.resize(total);
     out->need_off.resize(static_cast<std::size_t>(total) + 1);
 
     // Emit in position order: the canonical tensor and interval orders
     // fall out without a sort.
-    plan_base = 0;
-    for (int g = 0; g < g0; ++g)
-        plan_base += static_cast<int>(s->flg_layers[g].size());
-    for (int g = g0; g < num_flgs; ++g) {
+    double *tile_seconds = out->tile_seconds.data();
+    double *tile_energy = out->tile_energy_pj.data();
+    int *need_off = out->need_off.data();
+    std::vector<int> &need_idx = out->need_idx;
+    std::vector<DramTensor> &tensors = out->tensors;
+    std::vector<OnchipInterval> &onchip = out->onchip;
+    auto emit = [&](int g, const ParseScratch::LayerPlan *plans) {
         const ParseScratch::GroupParse &b = *s->groups[g];
         const std::vector<LayerId> &layers = s->flg_layers[g];
         const int n = static_cast<int>(layers.size());
         const int rounds = lfa.tiling[g];
         const TilePos base = flg_begin[g];
-        const ParseScratch::LayerPlan *plans = s->plans.data() + plan_base;
-        spans[g].tensor_begin = out->NumTensors();
-        spans[g].onchip_begin = static_cast<int>(out->onchip.size());
+        spans[g].tensor_begin = static_cast<int>(tensors.size());
+        spans[g].onchip_begin = static_cast<int>(onchip.size());
         for (int t = 0; t < rounds; ++t) {
             const TilePos row_pos = base + static_cast<TilePos>(t) * n;
             const ParseScratch::SegTile *seg =
@@ -646,13 +710,12 @@ Stitch(const Graph &graph, const LfaEncoding &lfa,
                 const ParseScratch::LayerPlan &plan = plans[i];
                 const ParseScratch::SegTile &st = seg[plan.k];
                 const TilePos pos = row_pos + i;
-                out->tile_seconds[pos] = st.seconds;
-                out->tile_energy_pj[pos] = st.energy_pj;
-                out->need_off[pos] = static_cast<int>(out->need_idx.size());
+                tile_seconds[pos] = st.seconds;
+                tile_energy[pos] = st.energy_pj;
+                need_off[pos] = static_cast<int>(need_idx.size());
                 if (plan.same_flg_last >= 0) {
-                    out->onchip.push_back(
-                        {pos, row_pos + plan.same_flg_last + 1,
-                         st.onchip_bytes, layers[i]});
+                    onchip.push_back({pos, row_pos + plan.same_flg_last + 1,
+                                      st.onchip_bytes, layers[i]});
                 }
                 if (!plan.tensors) continue;
                 const LayerId id = layers[i];
@@ -669,8 +732,8 @@ Stitch(const Graph &graph, const LfaEncoding &lfa,
                             ? dt.lg_end
                             : row_pos + static_cast<TilePos>(rounds - 1) * n +
                                   i + 1;
-                    out->need_idx.push_back(out->NumTensors());
-                    out->tensors.push_back(dt);
+                    need_idx.push_back(static_cast<int>(tensors.size()));
+                    tensors.push_back(dt);
                 }
                 dt.round = t;
                 for (int f = plan.ifmaps_begin; f < plan.ifmaps_end; ++f) {
@@ -685,8 +748,8 @@ Stitch(const Graph &graph, const LfaEncoding &lfa,
                     dt.bytes = r.bytes;
                     dt.fixed_end =
                         base + static_cast<TilePos>(r.end_round) * n + i + 1;
-                    out->need_idx.push_back(out->NumTensors());
-                    out->tensors.push_back(dt);
+                    need_idx.push_back(static_cast<int>(tensors.size()));
+                    tensors.push_back(dt);
                 }
                 if (plan.stores && st.store_bytes > 0) {
                     dt.kind = DramTensorKind::kOfmap;
@@ -694,11 +757,53 @@ Stitch(const Graph &graph, const LfaEncoding &lfa,
                     dt.input_index = -1;
                     dt.bytes = st.store_bytes;
                     dt.fixed_end = 0;  // End is the DLSA knob
-                    out->tensors.push_back(dt);
+                    tensors.push_back(dt);
                 }
             }
         }
-        plan_base += n;
+    };
+    plan_base = 0;
+    for (int g = 0; g < g0; ++g)
+        plan_base += static_cast<int>(s->flg_layers[g].size());
+    int g = g0;
+    for (; g < num_flgs - tail; ++g) {
+        emit(g, s->plans.data() + plan_base);
+        plan_base += static_cast<int>(s->flg_layers[g].size());
+    }
+    // The tail sits at the same positions in @p prev; its tensor and
+    // interval indices line up when everything before it has the same
+    // counts.
+    const GroupSpan *old_tail = tail > 0 ? &old[old_groups - tail] : nullptr;
+    if (old_tail != nullptr &&
+        old_tail->tensor_begin == static_cast<int>(tensors.size()) &&
+        old_tail->onchip_begin == static_cast<int>(onchip.size()) &&
+        prev.need_off[old_tail->tile_begin] ==
+            static_cast<int>(need_idx.size())) {
+        const TilePos tb = old_tail->tile_begin;
+        std::copy(prev.tile_seconds.begin() + tb, prev.tile_seconds.end(),
+                  tile_seconds + tb);
+        std::copy(prev.tile_energy_pj.begin() + tb,
+                  prev.tile_energy_pj.end(), tile_energy + tb);
+        std::copy(prev.need_off.begin() + tb, prev.need_off.end() - 1,
+                  need_off + tb);
+        tensors.insert(tensors.end(),
+                       prev.tensors.begin() + old_tail->tensor_begin,
+                       prev.tensors.end());
+        need_idx.insert(need_idx.end(),
+                        prev.need_idx.begin() + prev.need_off[tb],
+                        prev.need_idx.end());
+        onchip.insert(onchip.end(),
+                      prev.onchip.begin() + old_tail->onchip_begin,
+                      prev.onchip.begin() + old[old_groups].onchip_begin);
+        for (int k = 0; k < tail; ++k) {
+            spans[g + k].tensor_begin = old_tail[k].tensor_begin;
+            spans[g + k].onchip_begin = old_tail[k].onchip_begin;
+        }
+    } else {
+        for (; g < num_flgs; ++g) {
+            emit(g, s->plans.data() + plan_base);
+            plan_base += static_cast<int>(s->flg_layers[g].size());
+        }
     }
     out->need_off[total] = static_cast<int>(out->need_idx.size());
     spans[num_flgs].tensor_begin = out->NumTensors();
@@ -742,7 +847,7 @@ void
 ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
                  CoreArrayEvaluator &core_eval, const ParseOptions &popts,
                  ParseScratch *scratch, ParsedSchedule *out,
-                 TilingCache *tiling_cache)
+                 TilingCache *tiling_cache, const ParsedSchedule *like)
 {
     // The columns stay: Stitch keeps what is unchanged since the
     // previous parse written into @p out.
@@ -912,7 +1017,7 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
         }
     }
 
-    Stitch(graph, lfa, popts, scratch, out);
+    Stitch(graph, lfa, popts, scratch, like, out);
     out->valid = true;
 }
 
@@ -922,11 +1027,12 @@ void
 ParseLfaInto(const Graph &graph, const LfaEncoding &lfa,
              CoreArrayEvaluator &core_eval, const ParseOptions &popts,
              ParseScratch *scratch, ParsedSchedule *out_ptr,
-             TilingCache *tiling_cache)
+             TilingCache *tiling_cache, const ParsedSchedule *like)
 {
     SOMA_PROF_SCOPE("parse.lfa");
+    assert(like != out_ptr);
     ParseLfaIntoImpl(graph, lfa, core_eval, popts, scratch, out_ptr,
-                     tiling_cache);
+                     tiling_cache, like);
     if (popts.cross_check) {
         // Any divergence from the from-scratch reference is a bug in
         // the incremental path — fail loudly, never silently

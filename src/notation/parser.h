@@ -233,11 +233,11 @@ struct ParsedSchedule {
  * from-DRAM and ofmap store decisions by LG, LG extents, cross-FLG
  * intervals, lg_resident_weights). A tensor's first use lies inside its
  * group's contiguous position range, so walking positions in order
- * emits the canonical tensor order without a sort. The output keeps
- * what it held before: the leading groups whose spans are unchanged
- * since the previous parse written into it are not re-emitted. The
- * result is bit-identical to ParseLfa (ParseOptions::cross_check
- * asserts this).
+ * emits the canonical tensor order without a sort. The leading groups
+ * whose spans equal those of an earlier output (the one being
+ * overwritten, or a caller-named one) are taken from it instead of
+ * re-emitted. The result is bit-identical to ParseLfa
+ * (ParseOptions::cross_check asserts this).
  */
 struct ParseScratch {
     /** One tile of a segment, at [round * layers + derivation index]. */
@@ -367,12 +367,16 @@ ParsedSchedule ParseLfa(const Graph &graph, const LfaEncoding &lfa,
  * every column ParseLfa does except `tiles`, plus `group_spans`. When
  * @p tiling_cache is given, dirty groups fetch their FlgTiling through
  * it, sharing the halo-propagation work across every search chain of a
- * stage.
+ * stage. Leading groups unchanged since @p like (another output of
+ * ParseLfaInto, e.g. a committed base; default: what @p out holds) are
+ * copied from it rather than re-emitted. @p out must hold nothing but
+ * ParseLfaInto outputs and default-constructed state.
  */
 void ParseLfaInto(const Graph &graph, const LfaEncoding &lfa,
                   CoreArrayEvaluator &core_eval, const ParseOptions &popts,
                   ParseScratch *scratch, ParsedSchedule *out,
-                  TilingCache *tiling_cache = nullptr);
+                  TilingCache *tiling_cache = nullptr,
+                  const ParsedSchedule *like = nullptr);
 
 /**
  * Bit-exact equality of two parse results: every tile column, tensor

@@ -98,8 +98,12 @@ EvalContext::Parse(const Graph &graph, const LfaEncoding &lfa,
     cand_fresh_ = false;
     cand_parsed_ = nullptr;
     fill_[ps_cand_].parse = nullptr;
+    // The committed base is the closest earlier parse: the candidate
+    // copies its unchanged leading groups.
+    const ParsedSchedule *like =
+        base_ok_ && base_parsed_ == OwnBaseParse() ? base_parsed_ : nullptr;
     ParseLfaInto(graph, lfa, core_eval, popts, &parse_scratch_,
-                 &parsed_storage_[ps_cand_], tiling_cache_.get());
+                 &parsed_storage_[ps_cand_], tiling_cache_.get(), like);
     return parsed_storage_[ps_cand_];
 }
 

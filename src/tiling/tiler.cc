@@ -62,7 +62,8 @@ ComputeFlgTiling(const Graph &graph, const std::vector<LayerId> &flg_layers,
     const int n = static_cast<int>(flg_layers.size());
     assert(n > 0);
 
-    std::unordered_map<LayerId, int> index_of;
+    // Dense member index (-1: outside the FLG).
+    std::vector<int> index_of(graph.NumLayers(), -1);
     for (int i = 0; i < n; ++i) index_of[flg_layers[i]] = i;
 
     // A layer is a sink if its ofmap leaves the FLG: it is a network
@@ -75,7 +76,7 @@ ComputeFlgTiling(const Graph &graph, const std::vector<LayerId> &flg_layers,
         const auto &consumers = graph.Consumers(flg_layers[i]);
         if (consumers.empty()) sink = true;
         for (const Edge &e : consumers) {
-            if (!index_of.count(e.consumer)) sink = true;
+            if (index_of[e.consumer] < 0) sink = true;
         }
         is_sink[i] = sink;
         if (sink) {
@@ -101,9 +102,8 @@ ComputeFlgTiling(const Graph &graph, const std::vector<LayerId> &flg_layers,
                                      l.outWidth());
             }
             for (const Edge &e : graph.Consumers(id)) {
-                auto it = index_of.find(e.consumer);
-                if (it == index_of.end()) continue;
-                int ci = it->second;
+                const int ci = index_of[e.consumer];
+                if (ci < 0) continue;
                 assert(ci > i && "computing order must respect deps");
                 const Layer &cons = graph.layer(e.consumer);
                 const InputRef &in = cons.inputs()[e.input_index];
