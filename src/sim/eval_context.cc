@@ -402,10 +402,15 @@ EvalContext::FinalizeAggregates(const ParsedSchedule &parsed,
         // The splice proved the timeline equals the base's bitwise.
         makespan = known_latency;
     } else {
+        // Both resources are serial: each tile finishes no earlier than
+        // its predecessor, each DRAM rank no earlier than the previous
+        // rank, so the last of each holds its resource's maximum.
         makespan = 0.0;
-        for (double f : side->tile_finish) makespan = std::max(makespan, f);
-        for (double f : side->tensor_finish)
-            makespan = std::max(makespan, f);
+        if (!side->tile_finish.empty())
+            makespan = std::max(makespan, side->tile_finish.back());
+        if (!side->order.empty())
+            makespan = std::max(makespan,
+                                side->tensor_finish[side->order.back()]);
     }
     rep.latency = makespan;
 
