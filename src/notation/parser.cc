@@ -60,22 +60,6 @@ ParsedSchedule::TotalComputeSeconds() const
     return total;
 }
 
-std::size_t
-ParseScratch::MemoBytes() const
-{
-    std::size_t total = 0;
-    for (const auto &[sig, b] : group_memo) {
-        (void)sig;
-        total += sizeof(b) + sizeof(sig) + 2 * sizeof(void *) +
-                 (b.layers.capacity() + b.sorted_layers.capacity()) *
-                     sizeof(LayerId) +
-                 b.perm.capacity() * sizeof(std::size_t) +
-                 b.seg.capacity() * sizeof(SegTile) +
-                 b.seg_ifmaps.capacity() * sizeof(SegIfmap);
-    }
-    return total;
-}
-
 namespace {
 
 /** Producer shape lookup covering both graph layers and external refs. */

@@ -342,10 +342,6 @@ struct ParseScratch {
     int last_dirty_groups = 0;
     int last_clean_groups = 0;
     int last_remapped_groups = 0;
-
-    /** Approximate bytes held by the group memo's blocks (segments,
-     *  keys and views; shared tilings excluded). */
-    std::size_t MemoBytes() const;
 };
 
 /**

@@ -768,27 +768,19 @@ EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
     // spans (block state, offsets, cross-group decisions) hold equal
     // tiles and tensors. Candidate tiles [it0, it_end) and tensors
     // [j0, j_end) may differ; everything outside them is the base's. ---
+    // Spans end with a closing span holding the totals.
     const std::vector<GroupSpan> &gc = parsed.group_spans;
     const std::vector<GroupSpan> &gb = bp.group_spans;
-    const int Gc = static_cast<int>(gc.size());
-    const int Gb = static_cast<int>(gb.size());
-    auto flags_of = [](const ParsedSchedule &p, int g) {
-        const auto &spans = p.group_spans;
-        const std::size_t end =
-            g + 1 < static_cast<int>(spans.size())
-                ? static_cast<std::size_t>(spans[g + 1].flags_begin)
-                : p.group_flags.size();
-        return std::make_pair(p.group_flags.begin() + spans[g].flags_begin,
-                              p.group_flags.begin() + end);
-    };
+    const int Gc = static_cast<int>(gc.size()) - 1;
+    const int Gb = static_cast<int>(gb.size()) - 1;
     auto same_group = [&](int c, int b) {
-        if (gc[c].stamp != gb[b].stamp ||
-            gc[c].tile_begin != gb[b].tile_begin ||
-            gc[c].tensor_begin != gb[b].tensor_begin)
-            return false;
-        const auto fc = flags_of(parsed, c);
-        const auto fb = flags_of(bp, b);
-        return std::equal(fc.first, fc.second, fb.first, fb.second);
+        return gc[c].stamp == gb[b].stamp &&
+               gc[c].tile_begin == gb[b].tile_begin &&
+               gc[c].tensor_begin == gb[b].tensor_begin &&
+               std::equal(parsed.group_flags.begin() + gc[c].flags_begin,
+                          parsed.group_flags.begin() + gc[c + 1].flags_begin,
+                          bp.group_flags.begin() + gb[b].flags_begin,
+                          bp.group_flags.begin() + gb[b + 1].flags_begin);
     };
     int g0 = 0;
     while (g0 < Gc && g0 < Gb && same_group(g0, g0)) ++g0;
@@ -800,10 +792,10 @@ EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
             --gb_end;
         }
     }
-    const int it0 = g0 < Gc ? gc[g0].tile_begin : T;
-    const int j0 = g0 < Gc ? gc[g0].tensor_begin : D;
-    const int it_end = gc_end < Gc ? gc[gc_end].tile_begin : T;
-    const int j_end = gc_end < Gc ? gc[gc_end].tensor_begin : D;
+    const int it0 = gc[g0].tile_begin;
+    const int j0 = gc[g0].tensor_begin;
+    const int it_end = gc[gc_end].tile_begin;
+    const int j_end = gc[gc_end].tensor_begin;
     // Last tile slot that may differ (splice bound; -1: none).
     const int it_hi = same_shape && it_end > it0 ? it_end - 1 : -1;
 
