@@ -487,31 +487,10 @@ SharedPrefix(const std::vector<GroupSpan> &spans,
     return g;
 }
 
-/** How many trailing groups of the planned parse @p prev holds
- *  unchanged at the same tile positions, leaving the first @p floor
- *  groups out. */
-int
-SharedSuffix(const std::vector<GroupSpan> &spans,
-             const std::vector<std::uint64_t> &flags,
-             const ParsedSchedule &prev, int floor)
-{
-    const std::vector<GroupSpan> &old = prev.group_spans;
-    const int groups = static_cast<int>(spans.size()) - 1;
-    const int old_groups = static_cast<int>(old.size()) - 1;
-    int k = 0;
-    while (k < groups - floor && k < old_groups &&
-           SameSpan(spans[groups - 1 - k], flags.data(), spans[groups - k],
-                    old[old_groups - 1 - k], prev.group_flags.data(),
-                    old[old_groups - k]))
-        ++k;
-    return k;
-}
-
-/** Concatenate the groups' segments in FLG order into @p out. Leading
- *  groups that @p out or @p like (an earlier output, may be null) holds
- *  unchanged are taken from it, and so are the trailing ones @p like
- *  holds unchanged at the same positions, whichever source saves more;
- *  the groups in between are emitted from their blocks. */
+/** Concatenate the groups' segments in FLG order into @p out. The
+ *  leading groups that @p out or @p like (an earlier output, may be
+ *  null) holds unchanged are taken from whichever holds more of them;
+ *  the rest are emitted from their blocks. */
 void
 Stitch(const Graph &graph, const LfaEncoding &lfa,
        const ParseOptions &popts, ParseScratch *s,
@@ -627,17 +606,13 @@ Stitch(const Graph &graph, const LfaEncoding &lfa,
     spans[num_flgs].tile_begin = total;
     spans[num_flgs].flags_begin = static_cast<int>(s->flags.size());
 
-    // Take the leading (and trailing) groups whose spans equal an
-    // earlier output's.
+    // Take the leading groups whose spans equal an earlier output's.
     int g0 = SharedPrefix(spans, s->flags, *out);
-    int tail = 0;
     const ParsedSchedule *from = out;
     if (like != nullptr) {
         const int like_g0 = SharedPrefix(spans, s->flags, *like);
-        const int like_tail = SharedSuffix(spans, s->flags, *like, like_g0);
-        if (like_g0 + like_tail > g0) {
+        if (like_g0 > g0) {
             g0 = like_g0;
-            tail = like_tail;
             from = like;
         }
     }
@@ -678,7 +653,11 @@ Stitch(const Graph &graph, const LfaEncoding &lfa,
     std::vector<int> &need_idx = out->need_idx;
     std::vector<DramTensor> &tensors = out->tensors;
     std::vector<OnchipInterval> &onchip = out->onchip;
-    auto emit = [&](int g, const ParseScratch::LayerPlan *plans) {
+    plan_base = 0;
+    for (int g = 0; g < g0; ++g)
+        plan_base += static_cast<int>(s->flg_layers[g].size());
+    for (int g = g0; g < num_flgs; ++g) {
+        const ParseScratch::LayerPlan *plans = s->plans.data() + plan_base;
         const ParseScratch::GroupParse &b = *s->groups[g];
         const std::vector<LayerId> &layers = s->flg_layers[g];
         const int n = static_cast<int>(layers.size());
@@ -745,49 +724,7 @@ Stitch(const Graph &graph, const LfaEncoding &lfa,
                 }
             }
         }
-    };
-    plan_base = 0;
-    for (int g = 0; g < g0; ++g)
-        plan_base += static_cast<int>(s->flg_layers[g].size());
-    int g = g0;
-    for (; g < num_flgs - tail; ++g) {
-        emit(g, s->plans.data() + plan_base);
-        plan_base += static_cast<int>(s->flg_layers[g].size());
-    }
-    // The tail sits at the same positions in @p prev; its tensor and
-    // interval indices line up when everything before it has the same
-    // counts.
-    const GroupSpan *old_tail = tail > 0 ? &old[old_groups - tail] : nullptr;
-    if (old_tail != nullptr &&
-        old_tail->tensor_begin == static_cast<int>(tensors.size()) &&
-        old_tail->onchip_begin == static_cast<int>(onchip.size()) &&
-        prev.need_off[old_tail->tile_begin] ==
-            static_cast<int>(need_idx.size())) {
-        const TilePos tb = old_tail->tile_begin;
-        std::copy(prev.tile_seconds.begin() + tb, prev.tile_seconds.end(),
-                  tile_seconds + tb);
-        std::copy(prev.tile_energy_pj.begin() + tb,
-                  prev.tile_energy_pj.end(), tile_energy + tb);
-        std::copy(prev.need_off.begin() + tb, prev.need_off.end() - 1,
-                  need_off + tb);
-        tensors.insert(tensors.end(),
-                       prev.tensors.begin() + old_tail->tensor_begin,
-                       prev.tensors.end());
-        need_idx.insert(need_idx.end(),
-                        prev.need_idx.begin() + prev.need_off[tb],
-                        prev.need_idx.end());
-        onchip.insert(onchip.end(),
-                      prev.onchip.begin() + old_tail->onchip_begin,
-                      prev.onchip.begin() + old[old_groups].onchip_begin);
-        for (int k = 0; k < tail; ++k) {
-            spans[g + k].tensor_begin = old_tail[k].tensor_begin;
-            spans[g + k].onchip_begin = old_tail[k].onchip_begin;
-        }
-    } else {
-        for (; g < num_flgs; ++g) {
-            emit(g, s->plans.data() + plan_base);
-            plan_base += static_cast<int>(s->flg_layers[g].size());
-        }
+        plan_base += n;
     }
     out->need_off[total] = static_cast<int>(out->need_idx.size());
     spans[num_flgs].tensor_begin = out->NumTensors();

@@ -364,8 +364,8 @@ ParsedSchedule ParseLfa(const Graph &graph, const LfaEncoding &lfa,
  * @p tiling_cache is given, dirty groups fetch their FlgTiling through
  * it, sharing the halo-propagation work across every search chain of a
  * stage. Leading groups unchanged since @p like (another output of
- * ParseLfaInto, e.g. a committed base; default: what @p out holds) are
- * copied from it rather than re-emitted. @p out must hold nothing but
+ * ParseLfaInto, e.g. a committed base) or since what @p out holds are
+ * copied rather than re-emitted. @p out must hold nothing but
  * ParseLfaInto outputs and default-constructed state.
  */
 void ParseLfaInto(const Graph &graph, const LfaEncoding &lfa,
