@@ -665,28 +665,24 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
         known_avg = base.report.avg_buffer;
     }
 
-    // Prefix copies only: the resumed run rewrites [ci0/di0, splice)
-    // and SpliceSuffix (or the run itself) fills the rest, so the old
-    // copy-everything-then-invalidate scheme collapses to one pass per
-    // element. tensor_finish doubles as the issued flag the gating
-    // checks read, so unissued ranks are invalidated in the same pass.
+    // Prefix copies: the resumed run rewrites [ci0/di0, splice) and
+    // SpliceSuffix (or the run itself) fills the rest. Per-tensor
+    // arrays are indexed by tensor, not rank, so they are copied whole
+    // (one contiguous copy beats a gather over the issued ranks);
+    // tensor_finish doubles as the issued flag the gating checks read,
+    // so the unissued ranks are invalidated after.
     side.tile_finish.resize(T);
     side.rank_at_tile.resize(T);
-    side.tensor_finish.resize(D);
     side.ci_at_rank.resize(D);
     rep.tile_times.resize(T);
-    rep.tensor_times.resize(D);
     std::copy_n(base.tile_finish.begin(), ci0, side.tile_finish.begin());
     std::copy_n(base.rank_at_tile.begin(), ci0,
                 side.rank_at_tile.begin());
     std::copy_n(base.ci_at_rank.begin(), di0, side.ci_at_rank.begin());
     std::copy_n(base.report.tile_times.begin(), ci0,
                 rep.tile_times.begin());
-    for (int r = 0; r < di0; ++r) {
-        const int j = base.order[r];  // == side.order[r] below di0
-        side.tensor_finish[j] = base.tensor_finish[j];
-        rep.tensor_times[j] = base.report.tensor_times[j];
-    }
+    side.tensor_finish = base.tensor_finish;
+    rep.tensor_times = base.report.tensor_times;
     for (int r = di0; r < D; ++r)
         side.tensor_finish[side.order[r]] = -1.0;
 

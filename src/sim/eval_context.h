@@ -287,8 +287,8 @@ class EvalContext {
                              double dram_prev_finish, SpliceWindow *w);
     static void SpliceSuffix(const Side &base, Side *side, int ci, int di);
 
-    /** @p known_latency >= 0 skips the makespan scan (splice proved the
-     *  timeline equals the base's, whose latency it is); @p known_avg
+    /** @p known_latency >= 0 is taken as the makespan (the splice
+     *  proved the timeline equals the base's); @p known_avg
      *  >= 0 likewise skips the weighted-usage scan (the buffer profile
      *  is bitwise the base's, e.g. after an order move). */
     void FinalizeAggregates(const ParsedSchedule &parsed,
