@@ -59,7 +59,8 @@ GoldenCases()
             cases.push_back({model, hw, sched, ""});
     }
     // The banked memory model steers the search with its closed form.
-    for (const char *model : {"resnet50", "gpt2s-decode"}) {
+    for (const char *model :
+         {"resnet50", "gpt2s-decode", "transformer-large"}) {
         for (const char *sched : kSchedulers)
             cases.push_back({model, "edge", sched, "banked"});
     }
