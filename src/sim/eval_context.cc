@@ -108,8 +108,12 @@ EvalContext::Parse(const Graph &graph, const LfaEncoding &lfa,
 }
 
 void
-EvalContext::ResetAggregates(EvalReport *rep)
+EvalContext::ResetReportForEval(const ParsedSchedule &parsed, EvalReport *rep)
 {
+    // The event arrays are left alone: the prefix copy and the run
+    // rewrite them, and the early invalid exits clear them.
+    rep->valid = false;
+    rep->why_invalid.clear();
     rep->latency = std::numeric_limits<double>::infinity();
     rep->core_energy_j = 0.0;
     rep->dram_energy_j = 0.0;
@@ -120,21 +124,11 @@ EvalContext::ResetAggregates(EvalReport *rep)
     rep->theory_max_util = 0.0;
     rep->avg_buffer = 0.0;
     rep->dram_bytes = 0;
-}
-
-void
-EvalContext::ResetReportForEval(const ParsedSchedule &parsed, EvalReport *rep)
-{
-    rep->valid = false;
-    rep->why_invalid.clear();
-    ResetAggregates(rep);
     rep->peak_buffer = 0;
     rep->num_tiles = parsed.NumTiles();
     rep->num_tensors = parsed.NumTensors();
     rep->num_flgs = parsed.num_flgs;
     rep->num_lgs = parsed.num_lgs;
-    rep->tile_times.clear();
-    rep->tensor_times.clear();
 }
 
 void
@@ -260,7 +254,7 @@ template <bool kWindowed>
 bool
 EvalContext::RunTimelineImpl(const ParsedSchedule &parsed,
                              const HwFill &fill, Side *side, int ci, int di,
-                             double dram_prev_finish, SpliceWindow *w)
+                             double dram_prev_finish, Window *w)
 {
     const int T = parsed.NumTiles();
     const int D = parsed.NumTensors();
@@ -368,26 +362,6 @@ EvalContext::RunTimelineImpl(const ParsedSchedule &parsed,
     return true;
 }
 
-bool
-EvalContext::RunTimeline(const ParsedSchedule &parsed, const HwFill &fill,
-                         Side *side, int ci, int di, double dram_prev_finish)
-{
-    SOMA_PROF_SCOPE("eval.timeline");
-    return RunTimelineImpl<false>(parsed, fill, side, ci, di,
-                                  dram_prev_finish, nullptr);
-}
-
-bool
-EvalContext::RunTimelineWindowed(const ParsedSchedule &parsed,
-                                 const HwFill &fill, Side *side, int ci,
-                                 int di, double dram_prev_finish,
-                                 SpliceWindow *w)
-{
-    SOMA_PROF_SCOPE("eval.timeline.delta");
-    return RunTimelineImpl<true>(parsed, fill, side, ci, di,
-                                 dram_prev_finish, w);
-}
-
 void
 EvalContext::FinalizeAggregates(const ParsedSchedule &parsed,
                                 const HwFill &fill, const HardwareConfig &hw,
@@ -446,82 +420,165 @@ EvalContext::FinalizeAggregates(const ParsedSchedule &parsed,
 }
 
 const EvalReport &
+EvalContext::Simulate(const HardwareConfig &hw, const ParsedSchedule &parsed,
+                      const DlsaEncoding &dlsa, Bytes buffer_budget,
+                      Ops total_ops, Window w, Side *side)
+{
+    arena_.Reset();
+    const Side *base = w.base;
+    if (base != nullptr) ++delta_stats_.delta_evals;
+    cand_fresh_ = true;
+    cand_parsed_ = &parsed;
+    cand_budget_ = buffer_budget;
+    cand_ops_ = total_ops;
+
+    const int T = parsed.NumTiles();
+    const int D = parsed.NumTensors();
+    side->order = dlsa.order;
+    side->free_point = dlsa.free_point;
+    side->rank_of.resize(D);
+    for (int r = 0; r < D; ++r) side->rank_of[side->order[r]] = r;
+    EvalReport &rep = side->report;
+    ResetReportForEval(parsed, &rep);
+
+    // --- Buffer feasibility (slot-based, Fig. 4 BUFFER row) ---
+    if (w.known_peak >= 0) {
+        rep.peak_buffer = w.known_peak;
+    } else {
+        ComputeBufferBySlot(parsed, side->free_point,
+                            arena_.AllocArray<Bytes>(T + 1), &side->usage);
+        for (Bytes b : side->usage)
+            rep.peak_buffer = std::max(rep.peak_buffer, b);
+    }
+    if (rep.peak_buffer > buffer_budget) {
+        // Exits before the bucket rebuild: the base's buckets (and its
+        // delta fast paths) survive a rejected over-budget candidate.
+        rep.tile_times.clear();
+        rep.tensor_times.clear();
+        rep.why_invalid = "buffer overflow";
+        return rep;
+    }
+    if (w.known_peak < 0) {
+        RebuildStoreBuckets(parsed, *side);
+        buckets_for_base_ = false;
+    }
+    const HwFill &fill = FillFor(parsed, hw);
+
+    // --- Prefix copy: every event before the resume checkpoint is the
+    // base's. Per-tensor arrays are indexed by tensor, not rank, so a
+    // same-shape base is copied whole (one contiguous copy beats a
+    // gather over the issued ranks) and the unissued ranks invalidated
+    // after: tensor_finish doubles as the issued flag the gates read. ---
+    const bool same_shape = base != nullptr && base->report.num_tiles == T &&
+                            base->report.num_tensors == D;
+    side->tile_finish.resize(T);
+    side->rank_at_tile.resize(T);
+    side->ci_at_rank.resize(D);
+    rep.tile_times.resize(T);
+    if (base != nullptr) {
+        std::copy_n(base->tile_finish.begin(), w.ci0,
+                    side->tile_finish.begin());
+        std::copy_n(base->rank_at_tile.begin(), w.ci0,
+                    side->rank_at_tile.begin());
+        std::copy_n(base->report.tile_times.begin(), w.ci0,
+                    rep.tile_times.begin());
+        std::copy_n(base->ci_at_rank.begin(), w.di0,
+                    side->ci_at_rank.begin());
+    }
+    if (same_shape) {
+        side->tensor_finish = base->tensor_finish;
+        rep.tensor_times = base->report.tensor_times;
+        for (int r = w.di0; r < D; ++r)
+            side->tensor_finish[side->order[r]] = -1.0;
+    } else {
+        side->tensor_finish.assign(D, -1.0);
+        rep.tensor_times.resize(D);
+        for (int r = 0; r < w.di0; ++r) {
+            const int j = side->order[r];  // == base->order[r] here
+            side->tensor_finish[j] = base->tensor_finish[j];
+            rep.tensor_times[j] = base->report.tensor_times[j];
+        }
+    }
+
+    // --- Two serial resources, two-pointer list scheduling. An empty
+    // window leaves nothing to run: the copy is the timeline. Against a
+    // same-shape base the run may splice; otherwise it runs to the end.
+    const bool empty = same_shape && w.ci0 == T && w.di0 == D;
+    bool ok = true;
+    if (!empty) {
+        const double dram_prev =
+            w.di0 > 0 ? side->tensor_finish[side->order[w.di0 - 1]] : 0.0;
+        if (same_shape) {
+            SOMA_PROF_SCOPE("eval.timeline.delta");
+            ok = RunTimelineImpl<true>(parsed, fill, side, w.ci0, w.di0,
+                                       dram_prev, &w);
+        } else {
+            SOMA_PROF_SCOPE("eval.timeline");
+            ok = RunTimelineImpl<false>(parsed, fill, side, w.ci0, w.di0,
+                                        dram_prev, nullptr);
+        }
+    }
+    if (base != nullptr) {
+        if (same_shape && !empty) ++delta_stats_.windowed_runs;
+        if (empty || w.spliced) ++delta_stats_.splices;
+        delta_stats_.window_events += static_cast<std::uint64_t>(w.events);
+        delta_stats_.last_window_events = w.events;
+        delta_stats_.last_resume_ci = w.ci0;
+        delta_stats_.last_resume_di = w.di0;
+    }
+    if (!ok) {
+        // Deadlock. The run reproduced the full trajectory up to the
+        // stalled heads; everything beyond them is leftover copy the
+        // canonical report zero-fills.
+        for (int ci = run_dead_ci_; ci < T; ++ci)
+            rep.tile_times[ci] = EventTiming{};
+        for (int r = run_dead_di_; r < D; ++r)
+            rep.tensor_times[side->order[r]] = EventTiming{};
+        rep.why_invalid = "schedule deadlock (DLSA order)";
+        return rep;
+    }
+
+    FinalizeAggregates(parsed, fill, hw, total_ops, side,
+                       empty || w.spliced ? base->report.latency : -1.0,
+                       w.known_avg);
+    rep.valid = true;
+    if (base != nullptr && cross_check_) {
+        CrossCheckAgainstFull(hw, parsed, dlsa, buffer_budget, total_ops);
+        ++delta_stats_.cross_check_passes;
+    }
+    return rep;
+}
+
+const EvalReport &
 EvalContext::Evaluate(const Graph &graph, const HardwareConfig &hw,
                       const ParsedSchedule &parsed, const DlsaEncoding &dlsa,
                       Bytes buffer_budget, Ops total_ops)
 {
     SOMA_PROF_SCOPE("eval.full");
     (void)graph;
-    // Keep the base's buckets coherent before the rebuild below claims
-    // them for this candidate: the committed base itself survives full
+    // Keep the base's buckets coherent before the rebuild claims them
+    // for this candidate: the committed base itself survives full
     // evaluations (EvaluateDelta restores the buckets lazily).
     RevertPendingStoreMove();
-    arena_.Reset();
 
     // External parses have no invalidation hook (Parse only guards the
     // context-owned slots), so refill them on every full pass.
     if (&parsed != OwnCandParse() && &parsed != OwnBaseParse())
         fill_ext_.parse = nullptr;
 
-    Side &side = sides_[cand_];
-    EvalReport &rep = side.report;
-    ResetReportForEval(parsed, &rep);
-    cand_fresh_ = false;
-
-    if (!parsed.valid) {
-        rep.why_invalid = parsed.why_invalid;
+    if (!parsed.valid ||
+        !DlsaValid(parsed, dlsa, &why_scratch_, &check_scratch_)) {
+        EvalReport &rep = sides_[cand_].report;
+        ResetReportForEval(parsed, &rep);
+        rep.tile_times.clear();
+        rep.tensor_times.clear();
+        rep.why_invalid =
+            parsed.valid ? "dlsa: " + why_scratch_ : parsed.why_invalid;
+        cand_fresh_ = false;
         return rep;
     }
-    if (!DlsaValid(parsed, dlsa, &why_scratch_, &check_scratch_)) {
-        rep.why_invalid = "dlsa: " + why_scratch_;
-        return rep;
-    }
-
-    side.order = dlsa.order;
-    side.free_point = dlsa.free_point;
-    const int T = parsed.NumTiles();
-    const int D = parsed.NumTensors();
-    side.rank_of.assign(D, 0);
-    for (int r = 0; r < D; ++r) side.rank_of[side.order[r]] = r;
-
-    // --- Buffer feasibility (slot-based, Fig. 4 BUFFER row) ---
-    ComputeBufferBySlot(parsed, side.free_point,
-                        arena_.AllocArray<Bytes>(parsed.NumTiles() + 1),
-                        &side.usage);
-    Bytes peak = 0;
-    for (Bytes b : side.usage) peak = std::max(peak, b);
-    rep.peak_buffer = peak;
-    if (peak > buffer_budget) {
-        rep.why_invalid = "buffer overflow";
-        return rep;
-    }
-
-    RebuildStoreBuckets(parsed, side);
-    buckets_for_base_ = false;
-
-    const HwFill &fill = FillFor(parsed, hw);
-
-    // --- Two serial resources, two-pointer list scheduling ---
-    side.tile_finish.assign(T, 0.0);
-    side.tensor_finish.assign(D, -1.0);
-    side.ci_at_rank.assign(D, 0);
-    side.rank_at_tile.assign(T, 0);
-    rep.tile_times.assign(T, EventTiming{});
-    rep.tensor_times.assign(D, EventTiming{});
-
-    cand_fresh_ = true;
-    cand_parsed_ = &parsed;
-    cand_budget_ = buffer_budget;
-    cand_ops_ = total_ops;
-
-    if (!RunTimeline(parsed, fill, &side, 0, 0, 0.0)) {
-        rep.why_invalid = "schedule deadlock (DLSA order)";
-        return rep;
-    }
-
-    FinalizeAggregates(parsed, fill, hw, total_ops, &side);
-    rep.valid = true;
-    return rep;
+    return Simulate(hw, parsed, dlsa, buffer_budget, total_ops, Window{},
+                    &sides_[cand_]);
 }
 
 const EvalReport &
@@ -539,8 +596,6 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
         return Evaluate(graph, hw, parsed, cand, buffer_budget, total_ops);
     }
 
-    arena_.Reset();
-    ++delta_stats_.delta_evals;
     const Side &base = sides_[base_];
     if (!buckets_for_base_) {
         // A full/LFA evaluation since the last Commit rebuilt the
@@ -548,36 +603,15 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
         RebuildStoreBuckets(parsed, base);
         buckets_for_base_ = true;
     }
-
     Side &side = sides_[cand_];
-    EvalReport &rep = side.report;
     const int T = parsed.NumTiles();
     const int D = parsed.NumTensors();
 
+    // The occupancy and the store buckets are patched from the base's.
+    Window w;
+    w.base = &base;
     side.usage = base.usage;
-    side.rank_of = base.rank_of;
-    side.order = cand.order;
-    side.free_point = cand.free_point;
-    cand_fresh_ = true;
-    cand_parsed_ = &parsed;
-    cand_budget_ = buffer_budget;
-    cand_ops_ = total_ops;
-
-    rep.valid = false;
-    rep.why_invalid.clear();
-    rep.num_tiles = T;
-    rep.num_tensors = D;
-    rep.num_flgs = parsed.num_flgs;
-    rep.num_lgs = parsed.num_lgs;
-
-    int ci0 = 0;
-    int di0 = 0;
-    int min_ci = 0;  // earliest compute slot the splice may fire at
-    int min_di = 0;  // earliest DRAM rank the splice may fire at
-    // >= 0: the buffer profile is untouched bitwise — peak and
-    // weighted average are the base's, no O(T) rescan.
-    double known_avg = -1.0;
-
+    w.known_peak = base.report.peak_buffer;
     if (delta.kind == DlsaDelta::Kind::kFreePoint) {
         assert(delta.tensor >= 0 && delta.tensor < D);
         const DramTensor &t = parsed.tensors[delta.tensor];
@@ -600,138 +634,55 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
         // raise the peak; shrinkage leaves it intact unless the base
         // peak could have sat inside the window (then rescan). Integer
         // max, so this is exact.
-        Bytes peak;
         if (lo >= hi) {
-            peak = base.report.peak_buffer;
-            known_avg = base.report.avg_buffer;
+            w.known_avg = base.report.avg_buffer;
         } else {
             Bytes local = 0;
             for (TilePos s = lo; s < hi; ++s)
                 local = std::max(local, side.usage[s]);
             if (grew) {
-                peak = std::max(base.report.peak_buffer, local);
-            } else if (base.report.peak_buffer > local + t.bytes) {
-                peak = base.report.peak_buffer;
-            } else {
-                peak = 0;
-                for (Bytes b : side.usage) peak = std::max(peak, b);
+                w.known_peak = std::max(w.known_peak, local);
+            } else if (w.known_peak <= local + t.bytes) {
+                w.known_peak = 0;
+                for (Bytes b : side.usage)
+                    w.known_peak = std::max(w.known_peak, b);
             }
-        }
-        rep.peak_buffer = peak;
-        if (peak > buffer_budget) {
-            // Mirror the full evaluator's early buffer-overflow report.
-            ResetAggregates(&rep);
-            rep.tile_times.clear();
-            rep.tensor_times.clear();
-            rep.why_invalid = "buffer overflow";
-            return rep;
         }
 
         if (t.IsLoad()) {
             // Only the load's own readiness changed: resume where the
             // base timeline issued it. Once the load is issued, no
             // remaining structure differs from the base.
-            di0 = base.rank_of[delta.tensor];
-            ci0 = base.ci_at_rank[di0];
-            min_di = di0 + 1;
+            w.di0 = base.rank_of[delta.tensor];
+            w.ci0 = base.ci_at_rank[w.di0];
+            w.min_di = w.di0 + 1;
         } else {
             // The store now gates a different tile slot: resume at the
             // earlier of the two affected slots. End slots >= NumTiles
-            // never gate a tile, so timing is unchanged there.
+            // never gate a tile: the window is empty.
             ApplyStoreMove(delta.tensor, delta.old_point, delta.new_point);
-            TilePos tstar = std::min(delta.old_point, delta.new_point);
+            const TilePos tstar = std::min(delta.old_point, delta.new_point);
             if (tstar >= T) {
-                ci0 = T;  // timing untouched: the "prefix" is all of it
-                di0 = D;
+                w.ci0 = T;
+                w.di0 = D;
             } else {
-                ci0 = tstar;
-                di0 = base.rank_at_tile[tstar];
+                w.ci0 = static_cast<int>(tstar);
+                w.di0 = base.rank_at_tile[tstar];
                 const TilePos tmax =
                     std::max(delta.old_point, delta.new_point);
-                min_ci = static_cast<int>(tmax < T ? tmax : tstar) + 1;
+                w.min_ci = static_cast<int>(tmax < T ? tmax : tstar) + 1;
             }
         }
     } else {  // kOrderMove
         assert(delta.from_rank >= 0 && delta.from_rank < D);
         assert(delta.to_rank >= 0 && delta.to_rank < D);
-        const int rmin = std::min(delta.from_rank, delta.to_rank);
-        const int rmax = std::max(delta.from_rank, delta.to_rank);
-        for (int r = rmin; r <= rmax; ++r) side.rank_of[side.order[r]] = r;
-        di0 = rmin;
-        ci0 = base.ci_at_rank[di0];
-        min_di = rmax + 1;
+        w.di0 = std::min(delta.from_rank, delta.to_rank);
+        w.ci0 = base.ci_at_rank[w.di0];
+        w.min_di = std::max(delta.from_rank, delta.to_rank) + 1;
         // Free points (hence the whole buffer profile) are untouched.
-        rep.peak_buffer = base.report.peak_buffer;
-        known_avg = base.report.avg_buffer;
+        w.known_avg = base.report.avg_buffer;
     }
-
-    // Prefix copies: the resumed run rewrites [ci0/di0, splice) and
-    // SpliceSuffix (or the run itself) fills the rest. Per-tensor
-    // arrays are indexed by tensor, not rank, so they are copied whole
-    // (one contiguous copy beats a gather over the issued ranks);
-    // tensor_finish doubles as the issued flag the gating checks read,
-    // so the unissued ranks are invalidated after.
-    side.tile_finish.resize(T);
-    side.rank_at_tile.resize(T);
-    side.ci_at_rank.resize(D);
-    rep.tile_times.resize(T);
-    std::copy_n(base.tile_finish.begin(), ci0, side.tile_finish.begin());
-    std::copy_n(base.rank_at_tile.begin(), ci0,
-                side.rank_at_tile.begin());
-    std::copy_n(base.ci_at_rank.begin(), di0, side.ci_at_rank.begin());
-    std::copy_n(base.report.tile_times.begin(), ci0,
-                rep.tile_times.begin());
-    side.tensor_finish = base.tensor_finish;
-    rep.tensor_times = base.report.tensor_times;
-    for (int r = di0; r < D; ++r)
-        side.tensor_finish[side.order[r]] = -1.0;
-
-    double known_latency = -1.0;
-    if (!(ci0 == T && di0 == D)) {
-        double dram_prev =
-            di0 > 0 ? side.tensor_finish[side.order[di0 - 1]] : 0.0;
-        const HwFill &fill = FillFor(parsed, hw);
-        SpliceWindow w;
-        w.base = &base;
-        w.min_ci = min_ci;
-        w.min_di = min_di;
-        const bool ok = RunTimelineWindowed(parsed, fill, &side, ci0, di0,
-                                            dram_prev, &w);
-        ++delta_stats_.windowed_runs;
-        delta_stats_.window_events += static_cast<std::uint64_t>(w.events);
-        delta_stats_.last_window_events = w.events;
-        delta_stats_.last_resume_ci = ci0;
-        delta_stats_.last_resume_di = di0;
-        if (ok && w.spliced) {
-            ++delta_stats_.splices;
-            known_latency = base.report.latency;
-        }
-        if (!ok) {
-            // Deadlock. The resumed run reproduced the full trajectory
-            // up to the stalled heads; everything beyond them is stale
-            // prefix-copy leftovers the canonical report zero-fills.
-            for (int t2 = run_dead_ci_; t2 < T; ++t2)
-                rep.tile_times[t2] = EventTiming{};
-            for (int r = run_dead_di_; r < D; ++r)
-                rep.tensor_times[side.order[r]] = EventTiming{};
-            ResetAggregates(&rep);
-            rep.why_invalid = "schedule deadlock (DLSA order)";
-            return rep;
-        }
-        FinalizeAggregates(parsed, fill, hw, total_ops, &side,
-                           known_latency, known_avg);
-    } else {
-        // The copied arrays ARE the candidate's timeline.
-        FinalizeAggregates(parsed, FillFor(parsed, hw), hw, total_ops,
-                           &side, base.report.latency, known_avg);
-    }
-    rep.valid = true;
-    if (cross_check_) {
-        CrossCheckAgainstFull(hw, parsed, cand, buffer_budget, total_ops,
-                              "eval.delta");
-        ++delta_stats_.cross_check_passes;
-    }
-    return rep;
+    return Simulate(hw, parsed, cand, buffer_budget, total_ops, w, &side);
 }
 
 const EvalReport &
@@ -749,12 +700,9 @@ EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
         return Evaluate(graph, hw, parsed, dlsa, buffer_budget, total_ops);
     }
     SOMA_PROF_SCOPE("eval.delta.lfa");
-    arena_.Reset();
-    ++delta_stats_.delta_evals;
 
     const ParsedSchedule &bp = *base_parsed_;
     const Side &base = sides_[base_];
-    const HwFill &fill = FillFor(parsed, hw);
     const int T = parsed.NumTiles(), D = parsed.NumTensors();
     const int Tb = bp.NumTiles(), Db = bp.NumTensors();
     const int Dmin = std::min(D, Db);
@@ -828,7 +776,7 @@ EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
         if (jc != base.order[r] || !tensor_eq(jc)) { r_lo = r; break; }
     }
     int last_bad = -1;
-    if (T == Tb && D == Db && r_lo < D) {
+    if (same_shape && r_lo < D) {
         for (int r = D - 1; r >= r_lo; --r) {
             const int jc = dlsa.order[r];
             if (jc != base.order[r] || !tensor_eq(jc)) {
@@ -838,188 +786,56 @@ EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
         }
     }
 
-    Side &side = sides_[cand_];
-    EvalReport &rep = side.report;
-    ResetReportForEval(parsed, &rep);
-    cand_fresh_ = false;
-
-    side.order = dlsa.order;
-    side.free_point = dlsa.free_point;
-    side.rank_of.assign(D, 0);
-    for (int r = 0; r < D; ++r) side.rank_of[side.order[r]] = r;
-
-    // Occupancy is recomputed outright (on-chip intervals and load
-    // release points lie outside the timeline window); identical
-    // arithmetic to the full path.
-    ComputeBufferBySlot(parsed, side.free_point,
-                        arena_.AllocArray<Bytes>(parsed.NumTiles() + 1),
-                        &side.usage);
-    Bytes peak = 0;
-    for (Bytes b : side.usage) peak = std::max(peak, b);
-    rep.peak_buffer = peak;
-    if (peak > buffer_budget) {
-        // Exits before the bucket rebuild: the base's buckets (and its
-        // delta fast paths) survive a rejected over-budget candidate.
-        rep.why_invalid = "buffer overflow";
-        return rep;
-    }
-
-    RebuildStoreBuckets(parsed, side);
-    buckets_for_base_ = false;
-
-    cand_fresh_ = true;
-    cand_parsed_ = &parsed;
-    cand_budget_ = buffer_budget;
-    cand_ops_ = total_ops;
-
     // --- Resume point: the latest base checkpoint strictly before
-    // anything the re-run could observe differently ---
-    const bool all_clean = T == Tb && D == Db && it0 == T && s_hi == -1 &&
-                           r_lo == D;
-    const int it_lim = std::min(it0, s_lo);
-    int dstar = 0;
-    if (all_clean) {
-        dstar = D;
+    // anything the re-run could observe differently. An all-clean diff
+    // (e.g. a DRAM-cut toggle that moves no tile or tensor) resumes
+    // past the end: the window is empty. ---
+    Window w;
+    w.base = &base;
+    if (same_shape && it0 == T && s_hi == -1 && r_lo == D) {
+        w.ci0 = T;
+        w.di0 = D;
     } else {
         // prev_ci(di) = compute position right after rank di-1 issued;
         // monotone in di, so the first hit from the top is the largest.
         // Strict '<': tile it_lim's gates are consulted by the compute
         // head's blocked checks while it sits at it_lim.
+        const int it_lim = std::min(it0, s_lo);
         for (int di = r_lo; di >= 1; --di) {
             if (base.ci_at_rank[di - 1] < it_lim) {
-                dstar = di;
+                w.di0 = di;
+                w.ci0 = base.ci_at_rank[di - 1];
                 break;
             }
         }
+        w.min_di = last_bad + 1;
+        w.min_ci = std::max(it_hi, s_hi) + 1;
     }
-    const int cstar =
-        all_clean ? T : (dstar > 0 ? base.ci_at_rank[dstar - 1] : 0);
-    delta_stats_.last_resume_ci = cstar;
-    delta_stats_.last_resume_di = dstar;
-
-    double known_latency = -1.0;
-    if (all_clean) {
-        // Timeline-identical to the base: copy it wholesale.
-        side.tile_finish = base.tile_finish;
-        side.tensor_finish = base.tensor_finish;
-        side.ci_at_rank = base.ci_at_rank;
-        side.rank_at_tile = base.rank_at_tile;
-        rep.tile_times = base.report.tile_times;
-        rep.tensor_times = base.report.tensor_times;
-        known_latency = base.report.latency;
-        ++delta_stats_.splices;
-    } else {
-        side.tile_finish.assign(T, 0.0);
-        side.tensor_finish.assign(D, -1.0);
-        side.ci_at_rank.assign(D, 0);
-        side.rank_at_tile.assign(T, 0);
-        rep.tile_times.assign(T, EventTiming{});
-        rep.tensor_times.assign(D, EventTiming{});
-        std::copy_n(base.tile_finish.begin(), cstar,
-                    side.tile_finish.begin());
-        std::copy_n(base.rank_at_tile.begin(), cstar,
-                    side.rank_at_tile.begin());
-        std::copy_n(base.report.tile_times.begin(), cstar,
-                    rep.tile_times.begin());
-        std::copy_n(base.ci_at_rank.begin(), dstar,
-                    side.ci_at_rank.begin());
-        for (int r = 0; r < dstar; ++r) {
-            const int j = base.order[r];  // == side.order[r] below r_lo
-            side.tensor_finish[j] = base.tensor_finish[j];
-            rep.tensor_times[j] = base.report.tensor_times[j];
-        }
-
-        const double dram_prev =
-            dstar > 0 ? base.tensor_finish[base.order[dstar - 1]] : 0.0;
-        bool ok;
-        if (T == Tb && D == Db) {
-            SpliceWindow w;
-            w.base = &base;
-            w.min_di = last_bad + 1;
-            w.min_ci = std::max(it_hi, s_hi) + 1;
-            ok = RunTimelineWindowed(parsed, fill, &side, cstar, dstar,
-                                     dram_prev, &w);
-            ++delta_stats_.windowed_runs;
-            delta_stats_.window_events +=
-                static_cast<std::uint64_t>(w.events);
-            delta_stats_.last_window_events = w.events;
-            if (ok && w.spliced) {
-                ++delta_stats_.splices;
-                known_latency = base.report.latency;
-            }
-        } else {
-            // Sizes differ: only the prefix is shared; no splice.
-            ok = RunTimeline(parsed, fill, &side, cstar, dstar, dram_prev);
-        }
-        if (!ok) {
-            // Deadlock: defer to the full evaluator for the canonical
-            // partial-timeline report.
-            ++delta_stats_.full_fallbacks;
-            return Evaluate(graph, hw, parsed, dlsa, buffer_budget,
-                            total_ops);
-        }
-    }
-
-    FinalizeAggregates(parsed, fill, hw, total_ops, &side, known_latency);
-    rep.valid = true;
-    if (cross_check_) {
-        CrossCheckAgainstFull(hw, parsed, dlsa, buffer_budget, total_ops,
-                              "eval.delta.lfa");
-        ++delta_stats_.cross_check_passes;
-    }
-    return rep;
+    return Simulate(hw, parsed, dlsa, buffer_budget, total_ops, w,
+                    &sides_[cand_]);
 }
 
 void
 EvalContext::CrossCheckAgainstFull(const HardwareConfig &hw,
                                    const ParsedSchedule &parsed,
                                    const DlsaEncoding &dlsa,
-                                   Bytes buffer_budget, Ops total_ops,
-                                   const char *what)
+                                   Bytes buffer_budget, Ops total_ops)
 {
+    // The reference is a full run into check_side_; it rebuilds the
+    // store buckets for `dlsa`, which they already describe.
     const Side &got = sides_[cand_];
-    Side &ref = check_side_;
-    EvalReport &rrep = ref.report;
-    ResetReportForEval(parsed, &rrep);
-    const int T = parsed.NumTiles();
-    const int D = parsed.NumTensors();
-    ref.order = dlsa.order;
-    ref.free_point = dlsa.free_point;
-    ref.rank_of.assign(D, 0);
-    for (int r = 0; r < D; ++r) ref.rank_of[ref.order[r]] = r;
-    ComputeBufferBySlot(parsed, ref.free_point,
-                        arena_.AllocArray<Bytes>(parsed.NumTiles() + 1),
-                        &ref.usage);
-    Bytes peak = 0;
-    for (Bytes b : ref.usage) peak = std::max(peak, b);
-    rrep.peak_buffer = peak;
-    ref.tile_finish.assign(T, 0.0);
-    ref.tensor_finish.assign(D, -1.0);
-    ref.ci_at_rank.assign(D, 0);
-    ref.rank_at_tile.assign(T, 0);
-    rrep.tile_times.assign(T, EventTiming{});
-    rrep.tensor_times.assign(D, EventTiming{});
-    const HwFill &fill = FillFor(parsed, hw);
-    // The store buckets describe `dlsa` after every fast path (order
-    // and load moves leave them untouched, a store move was applied,
-    // the LFA path rebuilt them) — the reference run uses them as-is.
-    const bool ok =
-        peak <= buffer_budget && RunTimeline(parsed, fill, &ref, 0, 0, 0.0);
-    if (ok) {
-        FinalizeAggregates(parsed, fill, hw, total_ops, &ref);
-        rrep.valid = true;
-    }
+    const Side &ref = check_side_;
+    Simulate(hw, parsed, dlsa, buffer_budget, total_ops, Window{},
+             &check_side_);
     // The two-pointer bookkeeping (ci_at_rank / rank_at_tile) records
     // the traversal, which a resumed run may legally interleave
     // differently; every *value* must match bit-for-bit.
-    const bool same = ok && ReportsEqual(got.report, rrep) &&
-                      got.tile_finish == ref.tile_finish &&
-                      got.tensor_finish == ref.tensor_finish &&
-                      got.usage == ref.usage;
-    if (!same) {
-        SOMA_ERROR << "delta evaluation diverged from full simulation ("
-                   << what << "): fast-path latency=" << got.report.latency
-                   << " full latency=" << rrep.latency
+    if (!ReportsEqual(got.report, ref.report) ||
+        got.tile_finish != ref.tile_finish ||
+        got.tensor_finish != ref.tensor_finish || got.usage != ref.usage) {
+        SOMA_ERROR << "delta evaluation diverged from full simulation: "
+                   << "fast-path latency=" << got.report.latency
+                   << " full latency=" << ref.report.latency
                    << " — windowed delta evaluator bug";
         std::abort();
     }

@@ -20,6 +20,22 @@
  *    base's parse, the unchanged timeline prefix is copied verbatim,
  *    and the window is re-simulated with the same splice rule.
  *
+ * Each entry only derives its window: the resume checkpoint (ci0, di0),
+ * the splice floors (min_ci, min_di) and what it already knows about
+ * the buffer (EvaluateDelta patches the integer occupancy; an order
+ * move keeps the base's average). Evaluate's window is empty of base:
+ * resume at 0/0, run to the end. One private routine does the rest for
+ * all three and for the cross-check reference run: side preparation,
+ * the buffer-overflow report, the prefix copy from the base, the run
+ * (windowed, and so able to splice, only against a base of equal tile
+ * and tensor counts), the aggregates and the DeltaStats. A resume
+ * checkpoint at the very end (no tile or rank left to re-simulate) is
+ * an empty window: the copied base timeline is the candidate's and
+ * counts as a splice. A deadlocked run has reproduced the full
+ * trajectory up to its stalled heads; the report is zero-filled beyond
+ * them, which is exactly the full evaluator's partial report, so a
+ * deadlock never falls back to a full evaluation.
+ *
  * The timeline reads the parse's own columns (per-tile seconds, CSR
  * need lists, the tensor table); the context only adds what depends on
  * the hardware — per-tensor DRAM seconds and cached aggregate sums,
@@ -182,10 +198,11 @@ class EvalContext {
      * group spans bound the affected timeline window (DLSA differences
      * are found by comparing the two encodings); the unchanged prefix
      * is copied from the base and only the window (and whatever suffix
-     * fails to splice) is re-simulated. Falls back to
-     * Evaluate whenever no window can be derived (no base, different
-     * tile/tensor counts, different budget). Bit-identical to Evaluate
-     * in all cases.
+     * fails to splice) is re-simulated; when the tile or tensor counts
+     * differ only the prefix is shared and the run goes to the end.
+     * Falls back to Evaluate whenever no window can be derived (no
+     * base, a parse this context did not produce, different budget).
+     * Bit-identical to Evaluate in all cases.
      *
      * Precondition: @p dlsa is a legal DLSA for @p parsed (the LFA
      * stage derives it with MakeDoubleBufferDlsaInto /
@@ -253,38 +270,55 @@ class EvalContext {
         double dram_busy_seconds = 0.0;
     };
 
-    /** Windowed-run state: the base trajectory to reconverge with and
-     *  the earliest (tile, rank) the splice may fire at. */
-    struct SpliceWindow {
-        const Side *base = nullptr;
-        int min_ci = 0;
-        int min_di = 0;
-        int dirty = 0;     ///< recomputed events differing from base
-        int events = 0;    ///< events re-simulated before splice/end
+    /** A candidate's window against the committed base: where the
+     *  re-simulation resumes, how early the splice may fire, and what
+     *  the entry already knows about the buffer. Evaluate passes the
+     *  default (no base: resume at 0/0, run to the end); the windowed
+     *  runner also counts in it how far the re-simulation got. */
+    struct Window {
+        const Side *base = nullptr;  ///< committed base, or none
+        int ci0 = 0;     ///< resume checkpoint: compute slot
+        int di0 = 0;     ///< resume checkpoint: DRAM rank
+        int min_ci = 0;  ///< earliest compute slot the splice may fire at
+        int min_di = 0;  ///< earliest DRAM rank the splice may fire at
+        /// >= 0: the entry patched the candidate's occupancy and store
+        /// buckets from the base's, and this is the patched peak.
+        Bytes known_peak = -1;
+        /// >= 0: the buffer profile is bitwise the base's; its average.
+        double known_avg = -1.0;
+        int dirty = 0;   ///< recomputed events differing from base
+        int events = 0;  ///< events re-simulated before splice/end
         bool spliced = false;
     };
 
-    void ResetReportForEval(const ParsedSchedule &parsed, EvalReport *rep);
-    static void ResetAggregates(EvalReport *rep);
+    /** Sets every field but the event arrays (the run and the early
+     *  exits own those). */
+    static void ResetReportForEval(const ParsedSchedule &parsed,
+                                   EvalReport *rep);
 
     /** The fill_[] slot for @p parsed on @p hw, refilled on demand. */
     const HwFill &FillFor(const ParsedSchedule &parsed,
                           const HardwareConfig &hw);
 
+    /** Everything after the window, shared by all entries: side
+     *  preparation, occupancy and the buffer-overflow report, the
+     *  prefix copy from the base, the windowed (same-shape base) or
+     *  plain run, the deadlock report, the aggregates, the DeltaStats
+     *  and the cross-check of fast paths. Writes @p side. */
+    const EvalReport &Simulate(const HardwareConfig &hw,
+                               const ParsedSchedule &parsed,
+                               const DlsaEncoding &dlsa, Bytes buffer_budget,
+                               Ops total_ops, Window w, Side *side);
+
     template <bool kWindowed>
     bool RunTimelineImpl(const ParsedSchedule &parsed, const HwFill &fill,
                          Side *side, int ci, int di, double dram_prev_finish,
-                         SpliceWindow *w);
+                         Window *w);
     /** Where a failed (deadlocked) timeline run left its heads — the
-     *  first unwritten tile slot / DRAM rank, so delta callers can
-     *  clear exactly the stale suffix of their prefix-copied report. */
+     *  first unwritten tile slot / DRAM rank; the report is zero-filled
+     *  from there. */
     int run_dead_ci_ = 0;
     int run_dead_di_ = 0;
-    bool RunTimeline(const ParsedSchedule &parsed, const HwFill &fill,
-                     Side *side, int ci, int di, double dram_prev_finish);
-    bool RunTimelineWindowed(const ParsedSchedule &parsed,
-                             const HwFill &fill, Side *side, int ci, int di,
-                             double dram_prev_finish, SpliceWindow *w);
     static void SpliceSuffix(const Side &base, Side *side, int ci, int di);
 
     /** @p known_latency >= 0 is taken as the makespan (the splice
@@ -293,21 +327,18 @@ class EvalContext {
      *  is bitwise the base's, e.g. after an order move). */
     void FinalizeAggregates(const ParsedSchedule &parsed,
                             const HwFill &fill, const HardwareConfig &hw,
-                            Ops total_ops, Side *side,
-                            double known_latency = -1.0,
-                            double known_avg = -1.0);
+                            Ops total_ops, Side *side, double known_latency,
+                            double known_avg);
     void RebuildStoreBuckets(const ParsedSchedule &parsed, const Side &side);
     void ApplyStoreMove(int tensor, TilePos from, TilePos to);
     void RevertPendingStoreMove();
 
     /** Run the reference full simulation into check_side_ and abort on
-     *  any divergence from the fast-path result in sides_[cand_].
-     *  Requires the store buckets to describe @p dlsa (true after any
-     *  fast path). */
+     *  any divergence from the fast-path result in sides_[cand_]. */
     void CrossCheckAgainstFull(const HardwareConfig &hw,
                                const ParsedSchedule &parsed,
                                const DlsaEncoding &dlsa, Bytes buffer_budget,
-                               Ops total_ops, const char *what);
+                               Ops total_ops);
 
     const ParsedSchedule *OwnCandParse() const
     {
