@@ -11,9 +11,11 @@
 
 #include "search/dlsa_heuristics.h"
 #include "search/dlsa_stage.h"
+#include "search/lfa_stage.h"
 #include "sim/eval_context.h"
 #include "sim/evaluator.h"
 #include "workload/graph_builder.h"
+#include "workload/models.h"
 
 namespace soma {
 namespace {
@@ -263,6 +265,114 @@ TEST(EvalContext, IncrementalDeadlockMatchesFull)
         ctx.EvaluateDelta(g, hw, p, cand2, d2, budget, ops);
     EvalReport full2 = EvaluateSchedule(g, hw, p, cand2, budget, ops);
     ExpectReportsIdentical(inc2, full2);
+}
+
+/** @p dlsa with one store moved ahead of a load its producing tile
+ *  needs: the DRAM head then waits for the producer, and the producer
+ *  for the load behind the store. Data existence still holds (only
+ *  loads of the store's own layer must follow it). */
+DlsaEncoding
+StoreAheadOfItsProducersLoad(const ParsedSchedule &p, DlsaEncoding dlsa)
+{
+    const int D = p.NumTensors();
+    std::vector<int> rank(D);
+    for (int r = 0; r < D; ++r) rank[dlsa.order[r]] = r;
+    for (int j = 0; j < D; ++j) {
+        if (p.tensors[j].IsLoad()) continue;
+        const TilePos producer = p.tensors[j].first_use;
+        for (int k = p.need_off[producer]; k < p.need_off[producer + 1];
+             ++k) {
+            const int load = p.need_idx[k];
+            if (rank[load] > rank[j]) continue;
+            dlsa.order.erase(dlsa.order.begin() + rank[j]);
+            dlsa.order.insert(dlsa.order.begin() + rank[load], j);
+            return dlsa;
+        }
+    }
+    ADD_FAILURE() << "no store follows a load its producer needs";
+    return dlsa;
+}
+
+/** @p dlsa with every tensor living as long as it may: loads issued at
+ *  their earliest Start, stores freed at their latest End. */
+DlsaEncoding
+LongestLived(const ParsedSchedule &p, DlsaEncoding dlsa)
+{
+    for (int j = 0; j < p.NumTensors(); ++j) {
+        dlsa.free_point[j] = p.tensors[j].IsLoad() ? p.FreePointMin(j)
+                                                   : p.FreePointMax(j);
+    }
+    return dlsa;
+}
+
+TEST(EvalContext, LfaFastPathInvalidExitsMatchFull)
+{
+    // EvaluateLfa reports a deadlocked and an over-budget candidate on
+    // its fast path, field for field as a full evaluation does, and
+    // leaves the committed base usable for the next candidate.
+    Graph g = BuildResNet50(1);
+    HardwareConfig hw = EdgeAccelerator();
+    CoreArrayEvaluator ce(g, hw);
+    const Ops ops = g.TotalOps();
+    const LfaEncoding lfa = MakeInitialLfa(g, hw, 64);
+
+    EvalContext ctx;
+    const ParsedSchedule &first = ctx.Parse(g, lfa, ce);
+    ASSERT_TRUE(first.valid);
+    const int base_tiles = first.NumTiles();
+    const DlsaEncoding base_dlsa = MakeDoubleBufferDlsa(first);
+    const Bytes budget = PeakBufferUsage(first, base_dlsa);
+    ASSERT_TRUE(ctx.EvaluateLfa(g, hw, first, base_dlsa, budget, ops).valid);
+    ctx.Commit();
+
+    // A second candidate LFA whose parse has another tile count (no
+    // splice: the run from the shared prefix goes to the end) and whose
+    // double-buffer DLSA fits the base's budget.
+    LfaEncoding other;
+    {
+        Rng rng(5);
+        bool found = false;
+        for (int i = 0; i < 500 && !found; ++i) {
+            if (!MutateLfaEncoding(g, lfa, &other, 64, rng)) continue;
+            ParsedSchedule p = ParseLfa(g, other, ce);
+            found = p.valid && p.NumTiles() != base_tiles &&
+                    PeakBufferUsage(p, MakeDoubleBufferDlsa(p)) <= budget;
+        }
+        ASSERT_TRUE(found);
+    }
+
+    auto expect_fast_and_full = [&](const ParsedSchedule &p,
+                                    const DlsaEncoding &d,
+                                    const std::string &why) {
+        ASSERT_TRUE(DlsaValid(p, d));
+        const EvalContext::DeltaStats before = ctx.delta_stats();
+        const EvalReport &fast = ctx.EvaluateLfa(g, hw, p, d, budget, ops);
+        EXPECT_EQ(fast.why_invalid, why);
+        ExpectReportsIdentical(fast,
+                               EvaluateSchedule(g, hw, p, d, budget, ops));
+        EXPECT_EQ(ctx.delta_stats().delta_evals, before.delta_evals + 1);
+        EXPECT_EQ(ctx.delta_stats().full_fallbacks, before.full_fallbacks);
+    };
+    for (const LfaEncoding &cand : {lfa, other}) {
+        const ParsedSchedule &p = ctx.Parse(g, cand, ce);
+        ASSERT_TRUE(p.valid);
+        const DlsaEncoding dbuf = MakeDoubleBufferDlsa(p);
+        expect_fast_and_full(p, StoreAheadOfItsProducersLoad(p, dbuf),
+                             "schedule deadlock (DLSA order)");
+        expect_fast_and_full(p, LongestLived(p, dbuf), "buffer overflow");
+    }
+
+    // The base survived both: a valid candidate against it still takes
+    // the windowed run.
+    const ParsedSchedule &p = ctx.Parse(g, lfa, ce);
+    const DlsaEncoding lazy = MakeLazyDlsa(p);
+    const EvalContext::DeltaStats before = ctx.delta_stats();
+    const EvalReport &fast = ctx.EvaluateLfa(g, hw, p, lazy, budget, ops);
+    EXPECT_TRUE(fast.valid);
+    ExpectReportsIdentical(fast,
+                           EvaluateSchedule(g, hw, p, lazy, budget, ops));
+    EXPECT_EQ(ctx.delta_stats().windowed_runs, before.windowed_runs + 1);
+    EXPECT_EQ(ctx.delta_stats().full_fallbacks, before.full_fallbacks);
 }
 
 TEST(EvalContext, ParseMatchesParseLfa)
