@@ -22,7 +22,8 @@
  * (lfa-llm/...), with cross-check passes asserting incremental parses
  * bit-identical to full parses and delta evaluations bit-identical to
  * full simulations. CI gates lfa/incremental >= 2x lfa/legacy,
- * lfa/delta >= 2x lfa/legacy and dlsa/delta >= 4x dlsa/legacy.
+ * lfa/delta >= 2x lfa/legacy and dlsa/delta >= 4x dlsa/legacy; each of
+ * those rows is the fastest of three identical walks.
  *
  * An observability section replays the incremental walk with the
  * SOMA_PROF_SCOPE hot-path hooks disabled (the default) and enabled
@@ -108,35 +109,57 @@ PrintRows(const std::vector<Row> &rows, const std::string &baseline)
     }
 }
 
+/** Timed repeats of each DLSA and LFA row. */
+constexpr int kRepeats = 3;
+
+/** The rows' ratios are gated in CI, and a single short walk on a
+ *  shared runner is noisy: time @p walk (which returns its candidate
+ *  count and must do identical work on every call) @p repeats times
+ *  and keep the fastest. */
+template <typename WalkFn>
+Row
+BestOf(const std::string &name, int repeats, WalkFn &&walk)
+{
+    Row row;
+    row.name = name;
+    for (int rep = 0; rep < repeats; ++rep) {
+        const MonotonicTime t0 = MonotonicNow();
+        const int candidates = walk();
+        const double seconds = SecondsSince(t0);
+        if (rep == 0 || seconds < row.seconds) {
+            row.candidates = candidates;
+            row.seconds = seconds;
+        }
+    }
+    return row;
+}
+
 /** Greedy-walk harness shared by the three DLSA loop variants: mutate,
  *  evaluate, and adopt improvements (the accept pattern whose cost the
- *  SA loop pays). */
+ *  SA loop pays). Returns the number of candidates evaluated. */
 template <typename EvalFn, typename AcceptFn>
-Row
-DlsaWalk(const std::string &name, const ParsedSchedule &parsed,
-         const DlsaEncoding &initial, double initial_cost, int iters,
-         EvalFn &&evaluate, AcceptFn &&on_accept)
+int
+DlsaWalk(const ParsedSchedule &parsed, const DlsaEncoding &initial,
+         double initial_cost, int iters, EvalFn &&evaluate,
+         AcceptFn &&on_accept)
 {
     DlsaMutator mutate(parsed);
     Rng rng(17);
     DlsaEncoding current = initial, cand;
     DlsaDelta delta;
     double current_cost = initial_cost;
-    Row row;
-    row.name = name;
-    const MonotonicTime t0 = MonotonicNow();
+    int candidates = 0;
     for (int i = 0; i < iters; ++i) {
         if (!mutate(current, &cand, rng, &delta)) continue;
         double c = evaluate(cand, delta);
-        ++row.candidates;
+        ++candidates;
         if (c < current_cost) {
             on_accept();
             std::swap(current, cand);
             current_cost = c;
         }
     }
-    row.seconds = SecondsSince(t0);
-    return row;
+    return candidates;
 }
 
 /** A fused multi-LG scheme with real prefetch headroom: the result of a
@@ -199,37 +222,40 @@ main(int argc, char **argv)
                 parsed.NumTiles(), parsed.NumTensors(), parsed.num_lgs);
 
     // ----------------------------------------------------- DLSA loop
+    // Each walk starts from fresh state, so every repeat of a row does
+    // identical work.
     std::vector<Row> dlsa_rows;
-    dlsa_rows.push_back(DlsaWalk(
-        "dlsa/legacy", parsed, initial, initial_cost, dlsa_iters,
-        [&](const DlsaEncoding &d, const DlsaDelta &) {
-            return EvaluateSchedule(graph, hw, parsed, d, hw.gbuf_bytes,
-                                    total_ops)
-                .Cost();
-        },
-        [] {}));
-
-    {
+    dlsa_rows.push_back(BestOf("dlsa/legacy", kRepeats, [&] {
+        return DlsaWalk(
+            parsed, initial, initial_cost, dlsa_iters,
+            [&](const DlsaEncoding &d, const DlsaDelta &) {
+                return EvaluateSchedule(graph, hw, parsed, d, hw.gbuf_bytes,
+                                        total_ops)
+                    .Cost();
+            },
+            [] {});
+    }));
+    dlsa_rows.push_back(BestOf("dlsa/context-full", kRepeats, [&] {
         EvalContext ctx;
-        dlsa_rows.push_back(DlsaWalk(
-            "dlsa/context-full", parsed, initial, initial_cost, dlsa_iters,
+        return DlsaWalk(
+            parsed, initial, initial_cost, dlsa_iters,
             [&](const DlsaEncoding &d, const DlsaDelta &) {
                 return ctx
                     .Evaluate(graph, hw, parsed, d, hw.gbuf_bytes,
                               total_ops)
                     .Cost();
             },
-            [] {}));
-    }
+            [] {});
+    }));
 
     // mutate + EvaluateDelta against the committed base; also the walk
     // the observability section below replays.
-    auto delta_walk = [&](const std::string &name) {
+    auto delta_walk = [&] {
         EvalContext ctx;
         ctx.Evaluate(graph, hw, parsed, initial, hw.gbuf_bytes, total_ops);
         ctx.Commit();
         return DlsaWalk(
-            name, parsed, initial, initial_cost, dlsa_iters,
+            parsed, initial, initial_cost, dlsa_iters,
             [&](const DlsaEncoding &d, const DlsaDelta &delta) {
                 return ctx
                     .EvaluateDelta(graph, hw, parsed, d, delta,
@@ -238,7 +264,7 @@ main(int argc, char **argv)
             },
             [&] { ctx.Commit(); });
     };
-    dlsa_rows.push_back(delta_walk("dlsa/delta"));
+    dlsa_rows.push_back(BestOf("dlsa/delta", kRepeats, delta_walk));
     std::printf("DLSA inner loop (%d iterations):\n", dlsa_iters);
     PrintRows(dlsa_rows, "dlsa/legacy");
 
@@ -253,30 +279,12 @@ main(int argc, char **argv)
     //                production path)
     // run on resnet50 (lfa/...) and on gpt2s-prefill (lfa-llm/...,
     // legacy and delta), where the parse dominates a whole request.
-    // The lfa/*-vs-legacy ratios are gated in CI, and a single short
-    // walk on a shared runner is noisy: time each variant three times
-    // (identical work per repeat) and keep the fastest.
-    constexpr int kLfaRepeats = 3;
-    auto best_of = [&](const std::string &name, auto &&walk) {
-        Row row;
-        row.name = name;
-        for (int rep = 0; rep < kLfaRepeats; ++rep) {
-            const MonotonicTime t0 = MonotonicNow();
-            const int candidates = walk();
-            const double seconds = SecondsSince(t0);
-            if (rep == 0 || seconds < row.seconds) {
-                row.candidates = candidates;
-                row.seconds = seconds;
-            }
-        }
-        return row;
-    };
     auto lfa_legacy_walk = [&](const std::string &name, const Graph &g,
                                const HardwareConfig &h,
                                CoreArrayEvaluator &ce,
                                const LfaEncoding &start) {
         const Ops ops = g.TotalOps();
-        return best_of(name, [&] {
+        return BestOf(name, kRepeats, [&] {
             Rng rng(23);
             LfaEncoding cur = start, cand;
             int candidates = 0;
@@ -297,7 +305,7 @@ main(int argc, char **argv)
                                 CoreArrayEvaluator &ce,
                                 const LfaEncoding &start, bool delta_eval) {
         const Ops ops = g.TotalOps();
-        return best_of(name, [&] {
+        return BestOf(name, kRepeats, [&] {
             Rng rng(23);
             EvalContext ctx;
             ctx.set_tiling_cache(std::make_shared<TilingCache>());
@@ -436,12 +444,12 @@ main(int argc, char **argv)
     // estimate the cost instrumentation adds when nobody is looking.
     {
         std::vector<Row> obs_rows;
-        obs_rows.push_back(delta_walk("obs/tracing_off"));
+        obs_rows.push_back(BestOf("obs/tracing_off", 1, delta_walk));
         const std::vector<obs::ProfEntry> before = obs::ProfSnapshot();
         double timeline_share = 0.0;
         {
             obs::ProfEnableScope hold;
-            obs_rows.push_back(delta_walk("obs/tracing_on"));
+            obs_rows.push_back(BestOf("obs/tracing_on", 1, delta_walk));
             const std::vector<obs::ProfEntry> after = obs::ProfSnapshot();
             const std::uint64_t timeline_nanos =
                 obs::ProfNanos(after, "eval.timeline") -
