@@ -436,15 +436,14 @@ EvalContext::Simulate(const HardwareConfig &hw, const ParsedSchedule &parsed,
     const int D = parsed.NumTensors();
     side->order = dlsa.order;
     side->free_point = dlsa.free_point;
-    side->rank_of.resize(D);
-    for (int r = 0; r < D; ++r) side->rank_of[side->order[r]] = r;
     EvalReport &rep = side->report;
     ResetReportForEval(parsed, &rep);
-
-    // --- Buffer feasibility (slot-based, Fig. 4 BUFFER row) ---
-    if (w.known_peak >= 0) {
-        rep.peak_buffer = w.known_peak;
+    if (w.patched) {
+        rep.peak_buffer = w.peak;
     } else {
+        side->rank_of.resize(D);
+        for (int r = 0; r < D; ++r) side->rank_of[side->order[r]] = r;
+        // --- Buffer feasibility (slot-based, Fig. 4 BUFFER row) ---
         ComputeBufferBySlot(parsed, side->free_point,
                             arena_.AllocArray<Bytes>(T + 1), &side->usage);
         for (Bytes b : side->usage)
@@ -458,7 +457,7 @@ EvalContext::Simulate(const HardwareConfig &hw, const ParsedSchedule &parsed,
         rep.why_invalid = "buffer overflow";
         return rep;
     }
-    if (w.known_peak < 0) {
+    if (!w.patched) {
         RebuildStoreBuckets(parsed, *side);
         buckets_for_base_ = false;
     }
@@ -607,11 +606,13 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
     const int T = parsed.NumTiles();
     const int D = parsed.NumTensors();
 
-    // The occupancy and the store buckets are patched from the base's.
+    // Occupancy, rank_of and store buckets are patched from the base's.
     Window w;
     w.base = &base;
+    w.patched = true;
+    w.peak = base.report.peak_buffer;
     side.usage = base.usage;
-    w.known_peak = base.report.peak_buffer;
+    side.rank_of = base.rank_of;
     if (delta.kind == DlsaDelta::Kind::kFreePoint) {
         assert(delta.tensor >= 0 && delta.tensor < D);
         const DramTensor &t = parsed.tensors[delta.tensor];
@@ -641,11 +642,10 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
             for (TilePos s = lo; s < hi; ++s)
                 local = std::max(local, side.usage[s]);
             if (grew) {
-                w.known_peak = std::max(w.known_peak, local);
-            } else if (w.known_peak <= local + t.bytes) {
-                w.known_peak = 0;
-                for (Bytes b : side.usage)
-                    w.known_peak = std::max(w.known_peak, b);
+                w.peak = std::max(w.peak, local);
+            } else if (w.peak <= local + t.bytes) {
+                w.peak = 0;
+                for (Bytes b : side.usage) w.peak = std::max(w.peak, b);
             }
         }
 
@@ -676,9 +676,12 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
     } else {  // kOrderMove
         assert(delta.from_rank >= 0 && delta.from_rank < D);
         assert(delta.to_rank >= 0 && delta.to_rank < D);
-        w.di0 = std::min(delta.from_rank, delta.to_rank);
-        w.ci0 = base.ci_at_rank[w.di0];
-        w.min_di = std::max(delta.from_rank, delta.to_rank) + 1;
+        const int rmin = std::min(delta.from_rank, delta.to_rank);
+        const int rmax = std::max(delta.from_rank, delta.to_rank);
+        for (int r = rmin; r <= rmax; ++r) side.rank_of[cand.order[r]] = r;
+        w.di0 = rmin;
+        w.ci0 = base.ci_at_rank[rmin];
+        w.min_di = rmax + 1;
         // Free points (hence the whole buffer profile) are untouched.
         w.known_avg = base.report.avg_buffer;
     }

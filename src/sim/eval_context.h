@@ -281,9 +281,10 @@ class EvalContext {
         int di0 = 0;     ///< resume checkpoint: DRAM rank
         int min_ci = 0;  ///< earliest compute slot the splice may fire at
         int min_di = 0;  ///< earliest DRAM rank the splice may fire at
-        /// >= 0: the entry patched the candidate's occupancy and store
-        /// buckets from the base's, and this is the patched peak.
-        Bytes known_peak = -1;
+        /// The entry patched the candidate's occupancy, rank_of and
+        /// store buckets from the base's; `peak` is the patched peak.
+        bool patched = false;
+        Bytes peak = 0;
         /// >= 0: the buffer profile is bitwise the base's; its average.
         double known_avg = -1.0;
         int dirty = 0;   ///< recomputed events differing from base
