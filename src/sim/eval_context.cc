@@ -852,7 +852,9 @@ EvalContext::Commit()
     cand_fresh_ = false;
     // The buckets describe the just-promoted base: a delta fast path
     // left them matching its candidate (any pending store move is now
-    // permanent) and the full/LFA paths rebuilt them for it.
+    // permanent) and the full/LFA paths rebuilt them for it. An
+    // over-budget candidate skips the rebuild, but it commits no usable
+    // base: base_ok_ turns false below.
     pending_move_ = false;
     buckets_for_base_ = true;
     base_parsed_ = cand_parsed_;
