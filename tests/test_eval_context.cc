@@ -305,6 +305,31 @@ LongestLived(const ParsedSchedule &p, DlsaEncoding dlsa)
     return dlsa;
 }
 
+TEST(EvalContext, CommittingAnOverBudgetCandidateLeavesNoBase)
+{
+    // A DLSA delta is relative to whatever was committed last, so an
+    // over-budget candidate must not leave the previous base in place.
+    Graph g = MakeConvChain(6);
+    HardwareConfig hw = EdgeAccelerator();
+    CoreArrayEvaluator ce(g, hw);
+    ParsedSchedule parsed = ParseLfa(g, MakeTwoLgLfa(g), ce);
+    ASSERT_TRUE(parsed.valid);
+    const Ops ops = g.TotalOps();
+    const DlsaEncoding base = MakeDoubleBufferDlsa(parsed);
+    const Bytes budget = PeakBufferUsage(parsed, base);
+
+    EvalContext ctx;
+    ASSERT_TRUE(ctx.Evaluate(g, hw, parsed, base, budget, ops).valid);
+    ctx.Commit();
+    ASSERT_TRUE(ctx.HasBase());
+    EXPECT_EQ(ctx.Evaluate(g, hw, parsed, LongestLived(parsed, base), budget,
+                           ops)
+                  .why_invalid,
+              "buffer overflow");
+    ctx.Commit();
+    EXPECT_FALSE(ctx.HasBase());
+}
+
 TEST(EvalContext, LfaFastPathInvalidExitsMatchFull)
 {
     // EvaluateLfa reports a deadlocked and an over-budget candidate on
