@@ -110,8 +110,6 @@ EvalContext::Parse(const Graph &graph, const LfaEncoding &lfa,
 void
 EvalContext::ResetReportForEval(const ParsedSchedule &parsed, EvalReport *rep)
 {
-    // The event arrays are left alone: the prefix copy and the run
-    // rewrite them, and the early invalid exits clear them.
     rep->valid = false;
     rep->why_invalid.clear();
     rep->latency = std::numeric_limits<double>::infinity();
