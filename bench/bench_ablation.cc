@@ -11,8 +11,6 @@
  *                                 on the same LFA (Sec. III-B's
  *                                 motivation quantified).
  */
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <vector>
 
@@ -20,6 +18,7 @@
 #include "common/table.h"
 #include "search/dlsa_heuristics.h"
 #include "sim/evaluator.h"
+#include "workload/models.h"
 
 namespace {
 
@@ -28,6 +27,17 @@ using namespace soma::bench;
 
 Table g_table({"ablation", "workload", "variant", "latency(ms)",
                "energy(mJ)", "cost"});
+
+/** The request profile's SomaOptions (seed 1): the base every variant
+ *  toggles from. */
+SomaOptions
+BaseOptions()
+{
+    ScheduleRequest request;
+    request.profile = ProfileFromEnv();
+    request.seed = 1;
+    return SomaOptionsForRequest(request);
+}
 
 void
 AddRow(const std::string &ablation, const std::string &net,
@@ -49,7 +59,7 @@ StageContribution(benchmark::State &state, const char *net)
         Graph g = BuildModelByName(net, 1);
         HardwareConfig hw = EdgeAccelerator();
         SomaSearchResult res =
-            RunSoma(g, hw, SomaOptsFor(ProfileFromEnv(), 1));
+            RunSoma(g, hw, BaseOptions());
         AddRow("A1 two-stage", net, "stage1 only", res.stage1_report);
         AddRow("A1 two-stage", net, "stage1+stage2", res.report);
         if (res.report.valid && res.stage1_report.valid) {
@@ -65,9 +75,9 @@ BufferAllocator(benchmark::State &state, const char *net)
     for (auto _ : state) {
         Graph g = BuildModelByName(net, 1);
         HardwareConfig hw = EdgeAccelerator();
-        SomaOptions one = SomaOptsFor(ProfileFromEnv(), 1);
+        SomaOptions one = BaseOptions();
         one.alloc.max_iterations = 1;
-        SomaOptions loop = SomaOptsFor(ProfileFromEnv(), 1);
+        SomaOptions loop = BaseOptions();
         loop.alloc.max_iterations = 4;
         SomaSearchResult r_one = RunSoma(g, hw, one);
         SomaSearchResult r_loop = RunSoma(g, hw, loop);
@@ -88,7 +98,7 @@ GreedySeed(benchmark::State &state, const char *net)
     for (auto _ : state) {
         Graph g = BuildModelByName(net, 1);
         HardwareConfig hw = EdgeAccelerator();
-        SomaOptions with = SomaOptsFor(ProfileFromEnv(), 1);
+        SomaOptions with = BaseOptions();
         SomaOptions without = with;
         without.lfa.greedy_seed = false;
         SomaSearchResult r_with = RunSoma(g, hw, with);
@@ -109,7 +119,7 @@ DlsaStrategies(benchmark::State &state, const char *net)
         Graph g = BuildModelByName(net, 1);
         HardwareConfig hw = EdgeAccelerator();
         SomaSearchResult res =
-            RunSoma(g, hw, SomaOptsFor(ProfileFromEnv(), 1));
+            RunSoma(g, hw, BaseOptions());
         if (!res.report.valid) continue;
         Ops ops = g.TotalOps();
         EvalReport lazy = EvaluateSchedule(
@@ -134,7 +144,7 @@ int
 main(int argc, char **argv)
 {
     bench::InitBenchJson(&argc, argv);
-    std::cout << "bench_ablation profile=" << ProfileName(ProfileFromEnv())
+    std::cout << "bench_ablation profile=" << ToString(ProfileFromEnv())
               << "\n";
     const char *nets[] = {"resnet50", "randwire"};
     for (const char *net : nets) {

@@ -1,92 +1,113 @@
 /**
  * @file
- * Shared infrastructure for the paper-reproduction benches: run
- * profiles (quick / default / full via SOMA_BENCH_PROFILE), the
- * workload x platform grid of Sec. VI-A, a result collector that
- * prints the per-figure tables after google-benchmark finishes, and a
- * --json <path> sink that writes {bench, metric, value} rows so the
- * perf trajectory can be tracked across PRs (BENCH_*.json).
+ * Shared infrastructure for the paper-reproduction benches: the run
+ * profile (SOMA_BENCH_PROFILE=quick|default|full — the request
+ * profiles, so one name means one budget everywhere), a sweep runner
+ * that schedules request grids through the service's sweep executor
+ * under google-benchmark, and a --json <path> sink that writes
+ * {bench, metric, value} rows so the perf trajectory can be tracked
+ * across PRs (BENCH_*.json).
  */
 #ifndef SOMA_BENCH_BENCH_COMMON_H
 #define SOMA_BENCH_BENCH_COMMON_H
 
+#include <benchmark/benchmark.h>
+
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "baselines/cocco.h"
+#include "api/request.h"
 #include "common/json.h"
 #include "common/thread_annotations.h"
-#include "hw/hardware.h"
-#include "search/soma.h"
-#include "sim/memory_validation.h"
-#include "workload/models.h"
+#include "search/driver.h"
+#include "service/service.h"
+#include "service/sweep.h"
 
 namespace soma {
 namespace bench {
 
-enum class Profile { kQuick, kDefault, kFull };
-
-inline Profile
+/** The profile named by SOMA_BENCH_PROFILE (unset: default). Any other
+ *  value exits 2 with a message naming the three profiles. */
+inline SearchProfile
 ProfileFromEnv()
 {
     const char *env = std::getenv("SOMA_BENCH_PROFILE");
-    if (!env) return Profile::kDefault;
-    if (!std::strcmp(env, "quick")) return Profile::kQuick;
-    if (!std::strcmp(env, "full")) return Profile::kFull;
-    return Profile::kDefault;
-}
-
-inline const char *
-ProfileName(Profile p)
-{
-    switch (p) {
-      case Profile::kQuick: return "quick";
-      case Profile::kDefault: return "default";
-      case Profile::kFull: return "full";
+    SearchProfile profile = SearchProfile::kDefault;
+    if (env && !ParseSearchProfile(env, &profile)) {
+        std::cerr << "SOMA_BENCH_PROFILE=\"" << env
+                  << "\": expected quick, default or full\n";
+        std::exit(2);
     }
-    return "?";
-}
-
-inline SomaOptions
-SomaOptsFor(Profile p, std::uint64_t seed)
-{
-    switch (p) {
-      case Profile::kQuick: return QuickSomaOptions(seed);
-      case Profile::kDefault: {
-        SomaOptions o = DefaultSomaOptions(seed);
-        o.alloc.max_iterations = 2;
-        return o;
-      }
-      case Profile::kFull: return FullSomaOptions(seed);
-    }
-    return QuickSomaOptions(seed);
-}
-
-inline CoccoOptions
-CoccoOptsFor(Profile p, std::uint64_t seed)
-{
-    switch (p) {
-      case Profile::kQuick: return QuickCoccoOptions(seed);
-      case Profile::kDefault: return DefaultCoccoOptions(seed);
-      case Profile::kFull: return FullCoccoOptions(seed);
-    }
-    return QuickCoccoOptions(seed);
+    return profile;
 }
 
 /** Batch sizes swept per profile (the paper uses 1..64). */
 inline std::vector<int>
-BatchesFor(Profile p)
+BatchesFor(SearchProfile p)
 {
     switch (p) {
-      case Profile::kQuick: return {1};
-      case Profile::kDefault: return {1, 4};
-      case Profile::kFull: return {1, 4, 16, 64};
+      case SearchProfile::kQuick: return {1};
+      case SearchProfile::kDefault: return {1, 4};
+      case SearchProfile::kFull: return {1, 4, 16, 64};
     }
     return {1};
+}
+
+/** A JSON array of numbers or strings, for building sweep specs. */
+template <typename T>
+Json
+JsonArray(const std::vector<T> &values)
+{
+    Json array = Json::Array();
+    for (const T &v : values) {
+        if constexpr (std::is_arithmetic_v<T>)
+            array.Append(Json::Number(static_cast<double>(v)));
+        else
+            array.Append(Json::Str(v));
+    }
+    return array;
+}
+
+/** The service every grid of one bench process runs through. */
+inline SchedulerService &
+BenchService()
+{
+    static SchedulerService service;
+    return service;
+}
+
+/**
+ * Register google-benchmark @p name running the grid of @p spec (a
+ * `somac sweep` spec) through RunSweep on BenchService(), one job per
+ * hardware thread; its rows are appended to @p rows in expansion
+ * order. A spec that does not expand is a bug in the bench: exits 2.
+ */
+inline void
+RegisterSweep(const std::string &name, const Json &spec,
+              std::vector<SweepRow> *rows)
+{
+    std::vector<ScheduleRequest> requests;
+    std::string err;
+    if (!ExpandSweepSpec(spec, &requests, &err)) {
+        std::cerr << name << ": " << err << "\n";
+        std::exit(2);
+    }
+    benchmark::RegisterBenchmark(
+        name.c_str(),
+        [requests, rows](benchmark::State &state) {
+            for (auto _ : state) {
+                std::vector<SweepRow> grid =
+                    RunSweep(BenchService(), requests,
+                             ResolveDriverThreads(SearchDriverOptions{}));
+                rows->insert(rows->end(), grid.begin(), grid.end());
+            }
+        })
+        ->Unit(benchmark::kSecond)
+        ->Iterations(1);
 }
 
 /**
@@ -171,77 +192,6 @@ InitBenchJson(int *argc, char **argv)
         }
     }
     *argc = out;
-}
-
-/** One evaluation configuration of Fig. 6. */
-struct WorkloadConfig {
-    std::string workload;  ///< model-zoo name
-    std::string label;     ///< display name used in tables
-    bool cloud = false;    ///< cloud (128 TOPS) vs edge (16 TOPS)
-};
-
-/**
- * The Fig. 6 grid: the four CNNs on both platforms, GPT-2-Small on the
- * edge and GPT-2-XL on the cloud (Sec. VI-A2).
- */
-inline std::vector<WorkloadConfig>
-Fig6Grid()
-{
-    std::vector<WorkloadConfig> grid;
-    for (const char *net : {"resnet50", "resnet101", "ires", "randwire"}) {
-        grid.push_back({net, net, false});
-        grid.push_back({net, net, true});
-    }
-    grid.push_back({"gpt2s-prefill", "gpt2-prefill", false});
-    grid.push_back({"gpt2xl-prefill", "gpt2-prefill", true});
-    grid.push_back({"gpt2s-decode", "gpt2-decode", false});
-    grid.push_back({"gpt2xl-decode", "gpt2-decode", true});
-    return grid;
-}
-
-inline HardwareConfig
-PlatformFor(const WorkloadConfig &cfg)
-{
-    return cfg.cloud ? CloudAccelerator() : EdgeAccelerator();
-}
-
-/** Results of one Cocco-vs-SoMa configuration. */
-struct ComparisonRow {
-    WorkloadConfig cfg;
-    int batch = 1;
-    EvalReport cocco;
-    EvalReport ours1;
-    EvalReport ours2;
-    /** Analytical-vs-banked latency gap of the winning SoMa schedule
-     *  (ValidateMemoryTiming); valid only when memory_gap_ok. */
-    bool memory_gap_ok = false;
-    double memory_gap_pct = 0.0;
-};
-
-/** Run the three schemes of Fig. 6 for one configuration. */
-inline ComparisonRow
-RunComparison(const WorkloadConfig &cfg, int batch, Profile profile,
-              std::uint64_t seed)
-{
-    ComparisonRow row;
-    row.cfg = cfg;
-    row.batch = batch;
-    Graph graph = BuildModelByName(cfg.workload, batch);
-    HardwareConfig hw = PlatformFor(cfg);
-    CoccoResult cocco = RunCocco(graph, hw, CoccoOptsFor(profile, seed));
-    SomaSearchResult ours = RunSoma(graph, hw, SomaOptsFor(profile, seed));
-    row.cocco = cocco.report;
-    row.ours1 = ours.stage1_report;
-    row.ours2 = ours.report;
-    if (ours.report.valid && ours.parsed.valid) {
-        MemoryValidationResult v =
-            ValidateMemoryTiming(graph, hw, ours.parsed, ours.dlsa);
-        if (v.ok) {
-            row.memory_gap_ok = true;
-            row.memory_gap_pct = v.gap_pct;
-        }
-    }
-    return row;
 }
 
 }  // namespace bench

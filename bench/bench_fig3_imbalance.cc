@@ -12,8 +12,6 @@
  * scatter statistics plus the double-buffer DRAM/compute utilizations
  * quoted in Sec. III-B (52.69%/62.64% and 72.45%/45.84%).
  */
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -21,10 +19,7 @@
 
 #include "bench_common.h"
 #include "common/table.h"
-#include "corearray/core_array.h"
 #include "notation/parser.h"
-#include "search/dlsa_heuristics.h"
-#include "sim/evaluator.h"
 
 namespace {
 
@@ -88,7 +83,7 @@ LayerScatter(const Graph &g)
 
 /** Per-tile scatter under the Cocco schedule. */
 Scatter
-TileScatter(const Graph &, const ParsedSchedule &p)
+TileScatter(const ParsedSchedule &p)
 {
     Scatter s;
     std::vector<double> tile_dram(p.NumTiles(), 0.0);
@@ -110,31 +105,24 @@ struct Fig3Result {
     double dram_util = 0, compute_util_time = 0;
 };
 
-std::vector<Fig3Result> g_results;
+std::vector<SweepRow> g_rows;
 
-void
-RunNet(benchmark::State &state, const char *model)
+Fig3Result
+Analyze(const SweepRow &row)
 {
-    for (auto _ : state) {
-        Graph g = BuildModelByName(model, 1);
-        HardwareConfig hw = EdgeAccelerator();
-        CoccoResult cocco = RunCocco(g, hw,
-                                     CoccoOptsFor(ProfileFromEnv(), 1));
-        Fig3Result res;
-        res.net = model;
-        res.layers = LayerScatter(g);
-        if (cocco.report.valid) {
-            res.tiles = TileScatter(g, cocco.parsed);
-            // Sec. III-B utilizations: busy time / total runtime under
-            // the double-buffer Cocco schedule.
-            res.dram_util = cocco.report.dram_util;
-            res.compute_util_time =
-                cocco.report.compute_busy / cocco.report.latency;
-        }
-        g_results.push_back(res);
-        state.counters["tile_spread"] = res.tiles.Spread();
-        state.counters["layer_spread"] = res.layers.Spread();
+    const ScheduleResult &cocco = row.result;
+    Fig3Result res;
+    res.net = row.request.model;
+    res.layers = LayerScatter(*cocco.graph);
+    if (cocco.report.valid) {
+        res.tiles = TileScatter(cocco.parsed);
+        // Sec. III-B utilizations: busy time / total runtime under the
+        // double-buffer Cocco schedule.
+        res.dram_util = cocco.report.dram_util;
+        res.compute_util_time =
+            cocco.report.compute_busy / cocco.report.latency;
     }
+    return res;
 }
 
 }  // namespace
@@ -143,20 +131,28 @@ int
 main(int argc, char **argv)
 {
     bench::InitBenchJson(&argc, argv);
-    std::cout << "bench_fig3_imbalance profile="
-              << ProfileName(ProfileFromEnv()) << "\n";
-    benchmark::RegisterBenchmark("fig3/resnet50", RunNet, "resnet50")
-        ->Unit(benchmark::kSecond)->Iterations(1);
-    benchmark::RegisterBenchmark("fig3/transformer-large", RunNet,
-                                 "transformer-large")
-        ->Unit(benchmark::kSecond)->Iterations(1);
+    const SearchProfile profile = ProfileFromEnv();
+    std::cout << "bench_fig3_imbalance profile=" << ToString(profile)
+              << "\n";
+    Json base = Json::Object();
+    base.Set("hardware", Json::Str("edge"));
+    base.Set("scheduler", Json::Str("cocco"));
+    base.Set("profile", Json::Str(ToString(profile)));
+    base.Set("seed", Json::Int(1));
+    Json spec = Json::Object();
+    spec.Set("base", std::move(base));
+    spec.Set("models", JsonArray(std::vector<std::string>{
+                           "resnet50", "transformer-large"}));
+    RegisterSweep("fig3/cocco", spec, &g_rows);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
+    std::vector<Fig3Result> results;
+    for (const SweepRow &row : g_rows) results.push_back(Analyze(row));
 
     Table t({"net", "points", "granularity", "spread (|dram-ops|)",
              "zero-DRAM points", "near-axis share"});
-    for (const Fig3Result &r : g_results) {
+    for (const Fig3Result &r : results) {
         auto near_axis = [](const Scatter &s) {
             int n = 0;
             for (std::size_t i = 0; i < s.dram.size(); ++i) {
@@ -182,7 +178,7 @@ main(int argc, char **argv)
     std::cout << "\n=== Sec. III-B double-buffer utilizations under Cocco "
                  "===\n";
     Table u({"net", "DRAM util%", "compute-busy%", "paper"});
-    for (const Fig3Result &r : g_results) {
+    for (const Fig3Result &r : results) {
         u.AddRow({r.net, FormatDouble(r.dram_util * 100, 2),
                   FormatDouble(r.compute_util_time * 100, 2),
                   r.net == "resnet50" ? "52.69 / 62.64" : "72.45 / 45.84"});

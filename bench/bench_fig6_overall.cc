@@ -12,105 +12,157 @@
  * (speedups, energy reduction, LG/tile counts, gap to the theoretical
  * bound).
  *
- * Profiles: SOMA_BENCH_PROFILE=quick|default|full (batch sets {1} /
- * {1,4} / {1,4,16,64}; see DESIGN.md for the scaled-down budgets).
+ * Each configuration is a Cocco and a SoMa ScheduleRequest of one
+ * sweep spec, run through the sweep executor. Profiles:
+ * SOMA_BENCH_PROFILE=quick|default|full, the request profiles (batch
+ * sets {1} / {1,4} / {1,4,16,64}; DESIGN.md "SA budgets").
  */
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <map>
+#include <tuple>
 
 #include "bench_common.h"
 #include "common/table.h"
-#include "common/thread_annotations.h"
+#include "sim/memory_validation.h"
 
 namespace {
 
 using namespace soma;
 using namespace soma::bench;
 
-Mutex g_mutex;
-std::vector<ComparisonRow> g_rows SOMA_GUARDED_BY(g_mutex);
+std::vector<SweepRow> g_rows;
 
-void
-RunConfig(benchmark::State &state, const WorkloadConfig &cfg, int batch)
-{
-    for (auto _ : state) {
-        ComparisonRow row = RunComparison(cfg, batch, ProfileFromEnv(),
-                                          /*seed=*/1);
-        {
-            MutexLock lock(g_mutex);
-            g_rows.push_back(row);
-        }
-        if (row.cocco.valid && row.ours2.valid) {
-            state.counters["speedup"] =
-                row.cocco.latency / row.ours2.latency;
-            state.counters["energy_red_pct"] =
-                (1.0 - row.ours2.EnergyJ() / row.cocco.EnergyJ()) * 100.0;
-            state.counters["util_pct"] = row.ours2.compute_util * 100.0;
-        }
-    }
-}
-
+/** The Fig. 6 grid (Sec. VI-A2) as three sweep specs: the four CNNs on
+ *  both platforms, GPT-2-Small on the edge and GPT-2-XL on the cloud,
+ *  each point scheduled by Cocco and by SoMa. */
 void
 RegisterAll()
 {
-    Profile profile = ProfileFromEnv();
-    for (const WorkloadConfig &cfg : Fig6Grid()) {
-        for (int batch : BatchesFor(profile)) {
-            std::string name = "fig6/" + cfg.label +
-                               (cfg.cloud ? "/cloud" : "/edge") + "/bs" +
-                               std::to_string(batch);
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [cfg, batch](benchmark::State &state) {
-                    RunConfig(state, cfg, batch);
-                })
-                ->Unit(benchmark::kSecond)
-                ->Iterations(1);
-        }
+    const SearchProfile profile = ProfileFromEnv();
+    auto spec = [&](const std::vector<std::string> &models,
+                    const std::vector<std::string> &hardware) {
+        Json base = Json::Object();
+        base.Set("profile", Json::Str(ToString(profile)));
+        base.Set("seed", Json::Int(1));
+        Json spec = Json::Object();
+        spec.Set("base", std::move(base));
+        spec.Set("models", JsonArray(models));
+        spec.Set("batches", JsonArray(BatchesFor(profile)));
+        spec.Set("hardware", JsonArray(hardware));
+        spec.Set("schedulers",
+                 JsonArray(std::vector<std::string>{"cocco", "soma"}));
+        return spec;
+    };
+    RegisterSweep("fig6/cnn",
+                  spec({"resnet50", "resnet101", "ires", "randwire"},
+                       {"edge", "cloud"}),
+                  &g_rows);
+    RegisterSweep("fig6/gpt2s",
+                  spec({"gpt2s-prefill", "gpt2s-decode"}, {"edge"}),
+                  &g_rows);
+    RegisterSweep("fig6/gpt2xl",
+                  spec({"gpt2xl-prefill", "gpt2xl-decode"}, {"cloud"}),
+                  &g_rows);
+}
+
+/** One configuration of the figure: its Cocco and SoMa rows, plus the
+ *  analytical-vs-banked latency gap of the winning SoMa schedule. */
+struct Config {
+    std::string label;  ///< both GPT-2 sizes share "gpt2-<phase>"
+    const SweepRow *cocco = nullptr;
+    const SweepRow *ours = nullptr;
+    Bytes gbuf = 0;
+    bool memory_gap_ok = false;
+    double memory_gap_pct = 0.0;
+
+    const std::string &platform() const { return ours->request.hardware; }
+    int batch() const { return ours->request.batch; }
+    std::string Id() const
+    {
+        return "fig6/" + label + "/" + platform() + "/bs" +
+               std::to_string(batch());
     }
+};
+
+/** The configurations in table order: by workload (first-seen order),
+ *  then edge before cloud, then batch. The schedulers axis is
+ *  innermost, so each configuration is a (cocco, soma) row pair. */
+std::vector<Config>
+Configs()
+{
+    std::vector<Config> configs;
+    std::map<std::string, int> rank;
+    for (std::size_t i = 0; i + 1 < g_rows.size(); i += 2) {
+        Config c;
+        c.cocco = &g_rows[i];
+        c.ours = &g_rows[i + 1];
+        const std::string &model = c.ours->request.model;
+        c.label = model.rfind("gpt2", 0) == 0
+                      ? "gpt2" + model.substr(model.find('-'))
+                      : model;
+        rank.emplace(c.label, static_cast<int>(rank.size()));
+        HardwareConfig hw;
+        std::string err;
+        BenchService().scheduler().hardware().Make(c.platform(), &hw, &err);
+        c.gbuf = hw.gbuf_bytes;
+        const ScheduleResult &r = c.ours->result;
+        if (r.ok && r.parsed.valid) {
+            MemoryValidationResult v =
+                ValidateMemoryTiming(*r.graph, hw, r.parsed, r.dlsa);
+            c.memory_gap_ok = v.ok;
+            c.memory_gap_pct = v.gap_pct;
+        }
+        configs.push_back(std::move(c));
+    }
+    std::stable_sort(configs.begin(), configs.end(),
+                     [&](const Config &a, const Config &b) {
+                         return std::make_tuple(rank[a.label],
+                                                a.platform() == "cloud",
+                                                a.batch()) <
+                                std::make_tuple(rank[b.label],
+                                                b.platform() == "cloud",
+                                                b.batch());
+                     });
+    return configs;
 }
 
 void
 PrintFigure()
 {
-    // Runs after benchmark::RunSpecifiedBenchmarks has joined every
-    // worker; the lock keeps the analysis (and TSan) satisfied.
-    MutexLock lock(g_mutex);
+    const std::vector<Config> configs = Configs();
     Table t({"workload", "platform", "bs", "scheme", "norm core E",
              "norm DRAM E", "util%", "theory%", "avg buf%", "LGs",
              "tiles", "dram gap%"});
-    for (const ComparisonRow &row : g_rows) {
-        double base_e = row.cocco.valid ? row.cocco.EnergyJ() : 1.0;
-        Bytes gbuf = PlatformFor(row.cfg).gbuf_bytes;
+    for (const Config &c : configs) {
+        const EvalReport &cocco = c.cocco->result.report;
+        double base_e = cocco.valid ? cocco.EnergyJ() : 1.0;
+        const std::string bs = std::to_string(c.batch());
         // The banked-DRAM validation gap is computed for the winning
         // (ours_2) schedule only; the other rows show "-".
         auto add = [&](const char *scheme, const EvalReport &r,
                        bool with_gap) {
             if (!r.valid) {
-                t.AddRow({row.cfg.label, row.cfg.cloud ? "cloud" : "edge",
-                          std::to_string(row.batch), scheme, "-", "-", "-",
+                t.AddRow({c.label, c.platform(), bs, scheme, "-", "-", "-",
                           "-", "-", "-", "-", "-"});
                 return;
             }
-            t.AddRow({row.cfg.label, row.cfg.cloud ? "cloud" : "edge",
-                      std::to_string(row.batch), scheme,
+            t.AddRow({c.label, c.platform(), bs, scheme,
                       FormatDouble(r.core_energy_j / base_e),
                       FormatDouble(r.dram_energy_j / base_e),
                       FormatDouble(r.compute_util * 100, 1),
                       FormatDouble(r.theory_max_util * 100, 1),
-                      FormatDouble(r.avg_buffer / gbuf * 100, 1),
+                      FormatDouble(r.avg_buffer / c.gbuf * 100, 1),
                       std::to_string(r.num_lgs),
                       std::to_string(r.num_tiles),
-                      with_gap && row.memory_gap_ok
-                          ? FormatDouble(row.memory_gap_pct, 1)
+                      with_gap && c.memory_gap_ok
+                          ? FormatDouble(c.memory_gap_pct, 1)
                           : "-"});
         };
-        add("cocco", row.cocco, false);
-        add("ours_1", row.ours1, false);
-        add("ours_2", row.ours2, true);
+        add("cocco", cocco, false);
+        add("ours_1", c.ours->result.stage1_report, false);
+        add("ours_2", c.ours->result.report, true);
     }
     std::cout << "\n=== Fig. 6: Overall Comparisons (Cocco vs Ours_1 vs "
                  "Ours_2) ===\n";
@@ -126,40 +178,38 @@ PrintFigure()
     int n = 0;
     // Per-workload averages (paper reports per-network speedups).
     std::map<std::string, std::pair<double, int>> per_net;
-    for (const ComparisonRow &row : g_rows) {
-        if (!row.cocco.valid || !row.ours1.valid || !row.ours2.valid)
-            continue;
+    for (const Config &c : configs) {
+        const EvalReport &cocco = c.cocco->result.report;
+        const EvalReport &ours1 = c.ours->result.stage1_report;
+        const EvalReport &ours2 = c.ours->result.report;
+        if (!cocco.valid || !ours1.valid || !ours2.valid) continue;
         ++n;
-        const std::string id = "fig6/" + row.cfg.label +
-                               (row.cfg.cloud ? "/cloud" : "/edge") +
-                               "/bs" + std::to_string(row.batch);
+        const std::string id = c.Id();
         JsonSink::Instance().Add(id, "speedup_vs_cocco",
-                                 row.cocco.latency / row.ours2.latency);
-        JsonSink::Instance().Add(
-            id, "energy_reduction",
-            1.0 - row.ours2.EnergyJ() / row.cocco.EnergyJ());
-        JsonSink::Instance().Add(id, "compute_util",
-                                 row.ours2.compute_util);
-        if (row.memory_gap_ok)
+                                 cocco.latency / ours2.latency);
+        JsonSink::Instance().Add(id, "energy_reduction",
+                                 1.0 - ours2.EnergyJ() / cocco.EnergyJ());
+        JsonSink::Instance().Add(id, "compute_util", ours2.compute_util);
+        if (c.memory_gap_ok)
             JsonSink::Instance().Add(id, "memory_gap_pct",
-                                     row.memory_gap_pct);
-        s1_speedup += row.cocco.latency / row.ours1.latency;
-        s2_speedup += row.ours1.latency / row.ours2.latency;
-        total_speedup += row.cocco.latency / row.ours2.latency;
-        energy_red += 1.0 - row.ours2.EnergyJ() / row.cocco.EnergyJ();
+                                     c.memory_gap_pct);
+        s1_speedup += cocco.latency / ours1.latency;
+        s2_speedup += ours1.latency / ours2.latency;
+        total_speedup += cocco.latency / ours2.latency;
+        energy_red += 1.0 - ours2.EnergyJ() / cocco.EnergyJ();
         theory_gap +=
-            1.0 - row.ours2.compute_util / row.ours2.theory_max_util;
-        if (row.memory_gap_ok) {
-            mem_gap += row.memory_gap_pct;
+            1.0 - ours2.compute_util / ours2.theory_max_util;
+        if (c.memory_gap_ok) {
+            mem_gap += c.memory_gap_pct;
             ++mem_gap_n;
         }
-        cocco_lgs += row.cocco.num_lgs;
-        ours_lgs += row.ours2.num_lgs;
-        cocco_tiles += row.cocco.num_tiles;
-        ours_tiles += row.ours2.num_tiles;
-        ours_flgs += row.ours2.num_flgs;
-        auto &acc = per_net[row.cfg.label];
-        acc.first += row.cocco.latency / row.ours2.latency;
+        cocco_lgs += cocco.num_lgs;
+        ours_lgs += ours2.num_lgs;
+        cocco_tiles += cocco.num_tiles;
+        ours_tiles += ours2.num_tiles;
+        ours_flgs += ours2.num_flgs;
+        auto &acc = per_net[c.label];
+        acc.first += cocco.latency / ours2.latency;
         acc.second += 1;
     }
     if (n == 0) {
@@ -215,7 +265,7 @@ main(int argc, char **argv)
 {
     bench::InitBenchJson(&argc, argv);
     std::cout << "bench_fig6_overall profile="
-              << ProfileName(ProfileFromEnv()) << "\n";
+              << ToString(ProfileFromEnv()) << "\n";
     RegisterAll();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();

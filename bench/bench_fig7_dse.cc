@@ -10,11 +10,15 @@
  * Insights to reproduce: (1) at batch 1, bandwidth dominates and buffer
  * barely helps; (2) at larger batches the buffer column gradient grows;
  * (3) big-buffer + big-bandwidth corners are wasteful.
+ *
+ * The grid is one sweep spec (gbuf_mb x dram_gbps axes on the edge
+ * preset, both schedulers) run through the sweep executor; a point
+ * where no schedule fits the buffer is an error row, printed as inf.
  */
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
+#include <cmath>
 #include <iostream>
-#include <map>
+#include <limits>
 #include <vector>
 
 #include "bench_common.h"
@@ -26,69 +30,68 @@ using namespace soma;
 using namespace soma::bench;
 
 const std::vector<double> kBandwidths = {8, 16, 32, 64};
-const std::vector<Bytes> kBuffers = {2LL << 20, 4LL << 20, 8LL << 20,
-                                     16LL << 20, 32LL << 20};
+const std::vector<int> kBuffersMb = {2, 4, 8, 16, 32};
+
+std::vector<SweepRow> g_rows;
 
 struct GridResult {
     std::string net;
     int batch;
     bool use_soma;
-    // latency[bw index][buf index]
+    // latency[bw index][buf index]; inf where no schedule fits
     std::vector<std::vector<double>> latency;
 };
 
-std::vector<GridResult> g_grids;
-
-std::vector<const char *>
-NetsFor(Profile p)
+std::vector<std::string>
+NetsFor(SearchProfile p)
 {
-    if (p == Profile::kQuick) return {"resnet50"};
-    if (p == Profile::kDefault) return {"resnet50", "gpt2s-decode"};
+    if (p == SearchProfile::kQuick) return {"resnet50"};
+    if (p == SearchProfile::kDefault) return {"resnet50", "gpt2s-decode"};
     return {"resnet50", "resnet101", "ires", "randwire", "gpt2s-prefill",
             "gpt2s-decode"};
 }
 
-void
-RunGrid(benchmark::State &state, const char *net, int batch, bool use_soma)
+/** The sweep rows folded into one grid per (net, batch, scheduler),
+ *  in first-seen order: the schedulers axis is innermost, so each net
+ *  and batch yields its Cocco grid, then its SoMa grid. */
+std::vector<GridResult>
+Grids()
 {
-    for (auto _ : state) {
-        Graph g = BuildModelByName(net, batch);
-        GridResult grid;
-        grid.net = net;
-        grid.batch = batch;
-        grid.use_soma = use_soma;
-        Profile profile = ProfileFromEnv();
-        // The DSE sweep runs many searches; drop one budget tier.
-        Profile inner = profile == Profile::kFull ? Profile::kDefault
-                                                  : Profile::kQuick;
-        double best = 1e30;
-        for (double bw : kBandwidths) {
-            std::vector<double> row;
-            for (Bytes buf : kBuffers) {
-                HardwareConfig hw =
-                    WithBufferAndBandwidth(EdgeAccelerator(), buf, bw);
-                double latency;
-                if (use_soma) {
-                    latency = RunSoma(g, hw, SomaOptsFor(inner, 1))
-                                  .report.latency;
-                } else {
-                    latency = RunCocco(g, hw, CoccoOptsFor(inner, 1))
-                                  .report.latency;
-                }
-                row.push_back(latency);
-                best = std::min(best, latency);
-            }
-            grid.latency.push_back(row);
+    std::vector<GridResult> grids;
+    for (const SweepRow &row : g_rows) {
+        const ScheduleRequest &rq = row.request;
+        const bool use_soma = rq.scheduler == "soma";
+        auto grid = std::find_if(
+            grids.begin(), grids.end(), [&](const GridResult &g) {
+                return g.net == rq.model && g.batch == rq.batch &&
+                       g.use_soma == use_soma;
+            });
+        if (grid == grids.end()) {
+            grids.push_back(
+                {rq.model, rq.batch, use_soma,
+                 std::vector<std::vector<double>>(
+                     kBandwidths.size(),
+                     std::vector<double>(kBuffersMb.size()))});
+            grid = grids.end() - 1;
         }
-        g_grids.push_back(grid);
-        state.counters["min_latency_ms"] = best * 1e3;
+        const auto bw =
+            std::find(kBandwidths.begin(), kBandwidths.end(), rq.dram_gbps) -
+            kBandwidths.begin();
+        const auto buf = std::find(kBuffersMb.begin(), kBuffersMb.end(),
+                                   rq.gbuf_bytes >> 20) -
+                         kBuffersMb.begin();
+        grid->latency[bw][buf] = row.result.ok
+                                     ? row.result.report.latency
+                                     : std::numeric_limits<double>::infinity();
     }
+    return grids;
 }
 
 void
 PrintGrids()
 {
-    for (const GridResult &grid : g_grids) {
+    const std::vector<GridResult> grids = Grids();
+    for (const GridResult &grid : grids) {
         std::cout << "\n=== Fig. 7: " << (grid.use_soma ? "SoMa" : "Cocco")
                   << " | " << grid.net << " | batch " << grid.batch
                   << " | latency ms (rows GB/s, cols buffer MB; * = within "
@@ -98,12 +101,12 @@ PrintGrids()
             for (double v : row) best = std::min(best, v);
 
         std::vector<std::string> header = {"GB/s\\MB"};
-        for (Bytes b : kBuffers) header.push_back(std::to_string(b >> 20));
+        for (int mb : kBuffersMb) header.push_back(std::to_string(mb));
         Table t(header);
         for (std::size_t i = 0; i < kBandwidths.size(); ++i) {
             std::vector<std::string> row = {
                 FormatDouble(kBandwidths[i], 0)};
-            for (std::size_t j = 0; j < kBuffers.size(); ++j) {
+            for (std::size_t j = 0; j < kBuffersMb.size(); ++j) {
                 double v = grid.latency[i][j];
                 std::string cell = std::isfinite(v)
                                        ? FormatDouble(v * 1e3, 2)
@@ -121,7 +124,7 @@ PrintGrids()
     std::cout << "\n=== Envelope summary (near-minimal cells per grid) "
                  "===\n";
     Table t({"net", "batch", "scheme", "cells within 2% of min"});
-    for (const GridResult &grid : g_grids) {
+    for (const GridResult &grid : grids) {
         double best = 1e30;
         int count = 0;
         for (const auto &row : grid.latency)
@@ -141,24 +144,25 @@ int
 main(int argc, char **argv)
 {
     bench::InitBenchJson(&argc, argv);
-    Profile profile = ProfileFromEnv();
-    std::cout << "bench_fig7_dse profile=" << ProfileName(profile) << "\n";
-    for (const char *net : NetsFor(profile)) {
-        for (int batch : BatchesFor(profile)) {
-            for (bool use_soma : {false, true}) {
-                std::string name = std::string("fig7/") + net + "/bs" +
-                                   std::to_string(batch) +
-                                   (use_soma ? "/soma" : "/cocco");
-                benchmark::RegisterBenchmark(
-                    name.c_str(),
-                    [net, batch, use_soma](benchmark::State &state) {
-                        RunGrid(state, net, batch, use_soma);
-                    })
-                    ->Unit(benchmark::kSecond)
-                    ->Iterations(1);
-            }
-        }
-    }
+    const SearchProfile profile = ProfileFromEnv();
+    std::cout << "bench_fig7_dse profile=" << ToString(profile) << "\n";
+    // The DSE sweep runs many searches; drop one budget tier.
+    const SearchProfile inner = profile == SearchProfile::kFull
+                                    ? SearchProfile::kDefault
+                                    : SearchProfile::kQuick;
+    Json base = Json::Object();
+    base.Set("hardware", Json::Str("edge"));
+    base.Set("profile", Json::Str(ToString(inner)));
+    base.Set("seed", Json::Int(1));
+    Json spec = Json::Object();
+    spec.Set("base", std::move(base));
+    spec.Set("models", JsonArray(NetsFor(profile)));
+    spec.Set("batches", JsonArray(BatchesFor(profile)));
+    spec.Set("gbuf_mb", JsonArray(kBuffersMb));
+    spec.Set("dram_gbps", JsonArray(kBandwidths));
+    spec.Set("schedulers",
+             JsonArray(std::vector<std::string>{"cocco", "soma"}));
+    RegisterSweep("fig7/dse", spec, &g_rows);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

@@ -11,54 +11,61 @@
  *      GPT-2-Small 0.66/2.03/4.26/5.84%, GPT-2-XL 0.60/1.90/4.13/5.83%
  *      for batch 1/4/16/64).
  */
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <iostream>
+#include <tuple>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/table.h"
+#include "workload/models.h"
 
 namespace {
 
 using namespace soma;
 using namespace soma::bench;
 
+std::vector<SweepRow> g_rows;
+
 struct LlmRow {
-    std::string model;
-    std::string phase;
+    bool xl;
+    bool decode;
     int batch;
     EvalReport cocco;
     EvalReport ours;
     double kv_over_weights;
 };
 
-std::vector<LlmRow> g_rows;
-
-void
-RunPoint(benchmark::State &state, bool xl, bool decode, int batch)
+/** The sweep rows as (cocco, soma) pairs — the schedulers axis is
+ *  innermost — ordered by model size, batch, then prefill before
+ *  decode. */
+std::vector<LlmRow>
+Rows()
 {
-    for (auto _ : state) {
-        Gpt2Config cfg = xl ? Gpt2Xl() : Gpt2Small();
-        int tokens = xl ? 1024 : 512;
-        Graph g = decode ? BuildGpt2Decode(cfg, batch, tokens)
-                         : BuildGpt2Prefill(cfg, batch, tokens);
-        HardwareConfig hw = xl ? CloudAccelerator() : EdgeAccelerator();
-        Profile profile = ProfileFromEnv();
-
+    std::vector<LlmRow> rows;
+    for (std::size_t i = 0; i + 1 < g_rows.size(); i += 2) {
+        const ScheduleRequest &rq = g_rows[i + 1].request;
+        const ScheduleResult &ours = g_rows[i + 1].result;
         LlmRow row;
-        row.model = xl ? "gpt2-xl" : "gpt2-small";
-        row.phase = decode ? "decode" : "prefill";
-        row.batch = batch;
-        row.cocco = RunCocco(g, hw, CoccoOptsFor(profile, 1)).report;
-        row.ours = RunSoma(g, hw, SomaOptsFor(profile, 1)).report;
+        row.xl = rq.model.rfind("gpt2xl", 0) == 0;
+        row.decode = rq.model.find("decode") != std::string::npos;
+        row.batch = rq.batch;
+        row.cocco = g_rows[i].result.report;
+        row.ours = ours.report;
+        // The zoo's GPT-2 context lengths: 512 (small), 1024 (XL).
+        const Gpt2Config cfg = row.xl ? Gpt2Xl() : Gpt2Small();
+        const int tokens = row.xl ? 1024 : 512;
         row.kv_over_weights =
-            2.0 * cfg.layers * batch * tokens * cfg.hidden /
-            static_cast<double>(g.TotalWeightBytes());
-        g_rows.push_back(row);
-        if (row.ours.valid)
-            state.counters["util_pct"] = row.ours.compute_util * 100.0;
+            2.0 * cfg.layers * row.batch * tokens * cfg.hidden /
+            static_cast<double>(ours.graph->TotalWeightBytes());
+        rows.push_back(row);
     }
+    std::stable_sort(rows.begin(), rows.end(),
+                     [](const LlmRow &a, const LlmRow &b) {
+                         return std::make_tuple(a.xl, a.batch, a.decode) <
+                                std::make_tuple(b.xl, b.batch, b.decode);
+                     });
+    return rows;
 }
 
 }  // namespace
@@ -67,44 +74,51 @@ int
 main(int argc, char **argv)
 {
     bench::InitBenchJson(&argc, argv);
-    Profile profile = ProfileFromEnv();
-    std::cout << "bench_llm_analysis profile=" << ProfileName(profile)
+    const SearchProfile profile = ProfileFromEnv();
+    std::cout << "bench_llm_analysis profile=" << ToString(profile)
               << "\n";
-    std::vector<int> batches =
-        profile == Profile::kQuick ? std::vector<int>{1, 4}
-                                   : std::vector<int>{1, 4, 16, 64};
-    for (bool xl : {false, true}) {
-        if (xl && profile == Profile::kQuick) continue;
-        for (int batch : batches) {
-            for (bool decode : {false, true}) {
-                // The prefill side only needs a few points to show the
-                // contrast; decode is the subject of the batch sweep.
-                // GPT-2-XL prefill searches are the most expensive
-                // configurations, so the XL contrast uses batch 1 only.
-                if (!decode && batch > (xl ? 1 : 4)) continue;
-                std::string name =
-                    std::string("llm/") + (xl ? "xl" : "small") + "/" +
-                    (decode ? "decode" : "prefill") + "/bs" +
-                    std::to_string(batch);
-                benchmark::RegisterBenchmark(
-                    name.c_str(),
-                    [xl, decode, batch](benchmark::State &state) {
-                        RunPoint(state, xl, decode, batch);
-                    })
-                    ->Unit(benchmark::kSecond)
-                    ->Iterations(1);
-            }
-        }
+    const std::vector<int> batches =
+        profile == SearchProfile::kQuick ? std::vector<int>{1, 4}
+                                         : std::vector<int>{1, 4, 16, 64};
+    // Decode is the subject of the batch sweep; the prefill side only
+    // needs a few points to show the contrast. GPT-2-XL prefill
+    // searches are the most expensive configurations, so the XL
+    // contrast uses batch 1 only.
+    auto spec = [&](const char *model, const char *hardware,
+                    const std::vector<int> &model_batches) {
+        Json base = Json::Object();
+        base.Set("hardware", Json::Str(hardware));
+        base.Set("profile", Json::Str(ToString(profile)));
+        base.Set("seed", Json::Int(1));
+        Json spec = Json::Object();
+        spec.Set("base", std::move(base));
+        spec.Set("models", JsonArray(std::vector<std::string>{model}));
+        spec.Set("batches", JsonArray(model_batches));
+        spec.Set("schedulers",
+                 JsonArray(std::vector<std::string>{"cocco", "soma"}));
+        return spec;
+    };
+    RegisterSweep("llm/small/prefill",
+                  spec("gpt2s-prefill", "edge", {1, 4}), &g_rows);
+    RegisterSweep("llm/small/decode", spec("gpt2s-decode", "edge", batches),
+                  &g_rows);
+    if (profile != SearchProfile::kQuick) {
+        RegisterSweep("llm/xl/prefill", spec("gpt2xl-prefill", "cloud", {1}),
+                      &g_rows);
+        RegisterSweep("llm/xl/decode", spec("gpt2xl-decode", "cloud", batches),
+                      &g_rows);
     }
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
 
+    const std::vector<LlmRow> rows = Rows();
     Table t({"model", "phase", "batch", "soma util%", "theory%",
              "soma/cocco speedup", "dram util%", "KV/weights"});
-    for (const LlmRow &r : g_rows) {
+    for (const LlmRow &r : rows) {
         if (!r.ours.valid) continue;
-        t.AddRow({r.model, r.phase, std::to_string(r.batch),
+        t.AddRow({r.xl ? "gpt2-xl" : "gpt2-small",
+                  r.decode ? "decode" : "prefill", std::to_string(r.batch),
                   FormatDouble(r.ours.compute_util * 100, 2),
                   FormatDouble(r.ours.theory_max_util * 100, 2),
                   r.cocco.valid
@@ -122,10 +136,11 @@ main(int argc, char **argv)
     // The sublinearity check: utilization growth ratio per 4x batch.
     std::cout << "\ndecode utilization growth per 4x batch (sublinear "
                  "< 4):\n";
-    for (const char *model : {"gpt2-small", "gpt2-xl"}) {
+    for (bool xl : {false, true}) {
+        const char *model = xl ? "gpt2-xl" : "gpt2-small";
         std::vector<double> utils;
-        for (const LlmRow &r : g_rows) {
-            if (r.model == model && r.phase == "decode" && r.ours.valid)
+        for (const LlmRow &r : rows) {
+            if (r.xl == xl && r.decode && r.ours.valid)
                 utils.push_back(r.ours.compute_util);
         }
         for (std::size_t i = 1; i < utils.size(); ++i) {

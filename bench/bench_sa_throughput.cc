@@ -22,8 +22,9 @@
  * (lfa-llm/...), with cross-check passes asserting incremental parses
  * bit-identical to full parses and delta evaluations bit-identical to
  * full simulations. CI gates lfa/incremental >= 2x lfa/legacy,
- * lfa/delta >= 2x lfa/legacy and dlsa/delta >= 4x dlsa/legacy; each of
- * those rows is the fastest of three identical walks.
+ * lfa/delta >= 2x lfa/legacy and dlsa/delta >= 4x dlsa/legacy; each
+ * resnet50 DLSA and LFA row is its fastest of 15 identical walks,
+ * timed round-robin with the other rows of its loop.
  *
  * An observability section replays the incremental walk with the
  * SOMA_PROF_SCOPE hot-path hooks disabled (the default) and enabled
@@ -31,13 +32,15 @@
  * disabled scope. CI gates obs/disabled_overhead_pct — the estimated
  * per-candidate cost of the dormant instrumentation — at < 2%.
  *
- * Profiles: SOMA_BENCH_PROFILE=quick|default|full scales the budgets.
+ * Profiles: SOMA_BENCH_PROFILE=quick|default|full scales the walks
+ * (LoopSizesFor).
  *
  * Run: ./build/bench_sa_throughput [--json <path>]
  */
 #include <algorithm>
 #include <cstdio>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "bench_common.h"
@@ -82,6 +85,25 @@ ProbeWithScope(std::uint64_t x)
     return x * 2654435761ULL + 12345;
 }
 
+/** The walks' fixed sizes at one profile: DLSA and LFA walk iterations
+ *  and the driver-stage per-chain iteration cap. */
+struct LoopSizes {
+    int dlsa_iters;
+    int lfa_iters;
+    int stage_iters;
+};
+
+LoopSizes
+LoopSizesFor(SearchProfile profile)
+{
+    switch (profile) {
+      case SearchProfile::kQuick: return {2000, 200, 1500};
+      case SearchProfile::kDefault: return {10000, 1000, 6000};
+      case SearchProfile::kFull: return {50000, 4000, 20000};
+    }
+    return {10000, 1000, 6000};
+}
+
 struct Row {
     std::string name;
     int candidates = 0;
@@ -109,29 +131,42 @@ PrintRows(const std::vector<Row> &rows, const std::string &baseline)
     }
 }
 
-/** Timed repeats of each DLSA and LFA row. */
-constexpr int kRepeats = 3;
+/** A timed row: its name and a walk that returns its candidate count
+ *  and does identical work on every call. */
+struct Walk {
+    std::string name;
+    std::function<int()> run;
+};
 
-/** The rows' ratios are gated in CI, and a single short walk on a
- *  shared runner is noisy: time @p walk (which returns its candidate
- *  count and must do identical work on every call) @p repeats times
- *  and keep the fastest. */
-template <typename WalkFn>
-Row
-BestOf(const std::string &name, int repeats, WalkFn &&walk)
+/** Timed rounds of the resnet50 DLSA and LFA rows, whose ratios CI
+ *  gates. */
+constexpr int kGatedRounds = 15;
+
+/**
+ * Time @p walks round-robin for @p rounds rounds and keep each row's
+ * fastest walk. One resnet50 walk lasts 1-5 ms at the quick profile,
+ * while host noise on a shared runner comes in stretches of 100 ms and
+ * more; interleaving makes the rows of a group sample the same
+ * stretches, so a slow stretch slows them alike instead of slowing
+ * every repeat of one row.
+ */
+std::vector<Row>
+TimeInterleaved(const std::vector<Walk> &walks, int rounds)
 {
-    Row row;
-    row.name = name;
-    for (int rep = 0; rep < repeats; ++rep) {
-        const MonotonicTime t0 = MonotonicNow();
-        const int candidates = walk();
-        const double seconds = SecondsSince(t0);
-        if (rep == 0 || seconds < row.seconds) {
-            row.candidates = candidates;
-            row.seconds = seconds;
+    std::vector<Row> rows(walks.size());
+    for (int round = 0; round < rounds; ++round) {
+        for (std::size_t i = 0; i < walks.size(); ++i) {
+            const MonotonicTime t0 = MonotonicNow();
+            const int candidates = walks[i].run();
+            const double seconds = SecondsSince(t0);
+            if (round == 0 || seconds < rows[i].seconds) {
+                rows[i].name = walks[i].name;
+                rows[i].candidates = candidates;
+                rows[i].seconds = seconds;
+            }
         }
     }
-    return row;
+    return rows;
 }
 
 /** Greedy-walk harness shared by the three DLSA loop variants: mutate,
@@ -187,19 +222,12 @@ SeededLfa(const Graph &graph, const HardwareConfig &hw,
 int
 main(int argc, char **argv)
 {
-    using bench::Profile;
     bench::InitBenchJson(&argc, argv);
-    const Profile profile = bench::ProfileFromEnv();
-    // Loop sizes come from the same budget table the SomaOptions
-    // presets are built from (SomaBudgetsFor) — bench and facade
-    // profiles cannot drift.
-    const SomaProfileBudgets &budgets = SomaBudgetsFor(
-        profile == Profile::kQuick  ? SomaProfile::kQuick
-        : profile == Profile::kFull ? SomaProfile::kFull
-                                    : SomaProfile::kDefault);
-    const int dlsa_iters = budgets.bench_dlsa_iters;
-    const int lfa_iters = budgets.bench_lfa_iters;
-    const int stage_cap = budgets.bench_stage_iters;
+    const SearchProfile profile = bench::ProfileFromEnv();
+    const LoopSizes sizes = LoopSizesFor(profile);
+    const int dlsa_iters = sizes.dlsa_iters;
+    const int lfa_iters = sizes.lfa_iters;
+    const int stage_cap = sizes.stage_iters;
 
     Graph graph = BuildResNet50(1);
     HardwareConfig hw = EdgeAccelerator();
@@ -216,16 +244,15 @@ main(int argc, char **argv)
             .Cost();
 
     std::printf("SA hot-path throughput (profile=%s)\n",
-                bench::ProfileName(profile));
+                ToString(profile));
     std::printf("workload=resnet50 b=1: %d tiles, %d DRAM tensors, "
                 "%d LGs\n\n",
                 parsed.NumTiles(), parsed.NumTensors(), parsed.num_lgs);
 
     // ----------------------------------------------------- DLSA loop
-    // Each walk starts from fresh state, so every repeat of a row does
+    // Each walk starts from fresh state, so every round of a row does
     // identical work.
-    std::vector<Row> dlsa_rows;
-    dlsa_rows.push_back(BestOf("dlsa/legacy", kRepeats, [&] {
+    auto dlsa_legacy_walk = [&] {
         return DlsaWalk(
             parsed, initial, initial_cost, dlsa_iters,
             [&](const DlsaEncoding &d, const DlsaDelta &) {
@@ -234,8 +261,8 @@ main(int argc, char **argv)
                     .Cost();
             },
             [] {});
-    }));
-    dlsa_rows.push_back(BestOf("dlsa/context-full", kRepeats, [&] {
+    };
+    auto dlsa_context_walk = [&] {
         EvalContext ctx;
         return DlsaWalk(
             parsed, initial, initial_cost, dlsa_iters,
@@ -246,8 +273,7 @@ main(int argc, char **argv)
                     .Cost();
             },
             [] {});
-    }));
-
+    };
     // mutate + EvaluateDelta against the committed base; also the walk
     // the observability section below replays.
     auto delta_walk = [&] {
@@ -264,8 +290,13 @@ main(int argc, char **argv)
             },
             [&] { ctx.Commit(); });
     };
-    dlsa_rows.push_back(BestOf("dlsa/delta", kRepeats, delta_walk));
-    std::printf("DLSA inner loop (%d iterations):\n", dlsa_iters);
+    const std::vector<Row> dlsa_rows =
+        TimeInterleaved({{"dlsa/legacy", dlsa_legacy_walk},
+                         {"dlsa/context-full", dlsa_context_walk},
+                         {"dlsa/delta", delta_walk}},
+                        kGatedRounds);
+    std::printf("DLSA inner loop (%d iterations, best of %d rounds):\n",
+                dlsa_iters, kGatedRounds);
     PrintRows(dlsa_rows, "dlsa/legacy");
 
     // ------------------------------------------------------ LFA loop
@@ -279,12 +310,11 @@ main(int argc, char **argv)
     //                production path)
     // run on resnet50 (lfa/...) and on gpt2s-prefill (lfa-llm/...,
     // legacy and delta), where the parse dominates a whole request.
-    auto lfa_legacy_walk = [&](const std::string &name, const Graph &g,
-                               const HardwareConfig &h,
+    auto lfa_legacy_walk = [&](const Graph &g, const HardwareConfig &h,
                                CoreArrayEvaluator &ce,
                                const LfaEncoding &start) {
         const Ops ops = g.TotalOps();
-        return BestOf(name, kRepeats, [&] {
+        return [&g, &h, &ce, &start, ops, lfa_iters] {
             Rng rng(23);
             LfaEncoding cur = start, cand;
             int candidates = 0;
@@ -298,14 +328,13 @@ main(int argc, char **argv)
                 ++candidates;
             }
             return candidates;
-        });
+        };
     };
-    auto lfa_context_walk = [&](const std::string &name, const Graph &g,
-                                const HardwareConfig &h,
+    auto lfa_context_walk = [&](const Graph &g, const HardwareConfig &h,
                                 CoreArrayEvaluator &ce,
                                 const LfaEncoding &start, bool delta_eval) {
         const Ops ops = g.TotalOps();
-        return BestOf(name, kRepeats, [&] {
+        return [&g, &h, &ce, &start, ops, lfa_iters, delta_eval] {
             Rng rng(23);
             EvalContext ctx;
             ctx.set_tiling_cache(std::make_shared<TilingCache>());
@@ -336,29 +365,31 @@ main(int argc, char **argv)
                 ++candidates;
             }
             return candidates;
-        });
+        };
     };
-    std::vector<Row> lfa_rows;
-    lfa_rows.push_back(
-        lfa_legacy_walk("lfa/legacy", graph, hw, core_eval, lfa));
-    lfa_rows.push_back(lfa_context_walk("lfa/incremental", graph, hw,
-                                        core_eval, lfa, false));
-    lfa_rows.push_back(
-        lfa_context_walk("lfa/delta", graph, hw, core_eval, lfa, true));
-    std::printf("\nLFA inner loop (%d iterations, parse-dominated):\n",
-                lfa_iters);
+    const std::vector<Row> lfa_rows = TimeInterleaved(
+        {{"lfa/legacy", lfa_legacy_walk(graph, hw, core_eval, lfa)},
+         {"lfa/incremental",
+          lfa_context_walk(graph, hw, core_eval, lfa, false)},
+         {"lfa/delta", lfa_context_walk(graph, hw, core_eval, lfa, true)}},
+        kGatedRounds);
+    std::printf("\nLFA inner loop (%d iterations, best of %d rounds, "
+                "parse-dominated):\n",
+                lfa_iters, kGatedRounds);
     PrintRows(lfa_rows, "lfa/legacy");
     {
         Graph llm = BuildModelByName("gpt2s-prefill", 1);
         CoreArrayEvaluator llm_eval(llm, hw);
         LfaEncoding llm_lfa = SeededLfa(llm, hw, llm_eval);
-        std::vector<Row> llm_rows;
-        llm_rows.push_back(lfa_legacy_walk("lfa-llm/legacy", llm, hw,
-                                           llm_eval, llm_lfa));
-        llm_rows.push_back(lfa_context_walk("lfa-llm/delta", llm, hw,
-                                            llm_eval, llm_lfa, true));
-        std::printf("\nLFA inner loop on gpt2s-prefill (%d iterations):\n",
-                    lfa_iters);
+        const int llm_rounds = 3;
+        const std::vector<Row> llm_rows = TimeInterleaved(
+            {{"lfa-llm/legacy", lfa_legacy_walk(llm, hw, llm_eval, llm_lfa)},
+             {"lfa-llm/delta",
+              lfa_context_walk(llm, hw, llm_eval, llm_lfa, true)}},
+            llm_rounds);
+        std::printf("\nLFA inner loop on gpt2s-prefill (%d iterations, "
+                    "best of %d rounds):\n",
+                    lfa_iters, llm_rounds);
         PrintRows(llm_rows, "lfa-llm/legacy");
     }
 
@@ -443,13 +474,14 @@ main(int argc, char **argv)
     // --trace/--stats hold), then microbench one *disabled* scope to
     // estimate the cost instrumentation adds when nobody is looking.
     {
-        std::vector<Row> obs_rows;
-        obs_rows.push_back(BestOf("obs/tracing_off", 1, delta_walk));
+        std::vector<Row> obs_rows =
+            TimeInterleaved({{"obs/tracing_off", delta_walk}}, 1);
         const std::vector<obs::ProfEntry> before = obs::ProfSnapshot();
         double timeline_share = 0.0;
         {
             obs::ProfEnableScope hold;
-            obs_rows.push_back(BestOf("obs/tracing_on", 1, delta_walk));
+            obs_rows.push_back(
+                TimeInterleaved({{"obs/tracing_on", delta_walk}}, 1).front());
             const std::vector<obs::ProfEntry> after = obs::ProfSnapshot();
             const std::uint64_t timeline_nanos =
                 obs::ProfNanos(after, "eval.timeline") -

@@ -480,22 +480,41 @@ ScheduleResult::FromJson(const Json &json, ScheduleResult *out,
 
 namespace {
 
-/** The runtime-hook wiring shared by both option resolvers: point the
- *  driver at the request's cancel flag, deadline cutoff and span
- *  tracer. The facade pre-resolves deadline_tp at pipeline start;
- *  requests built outside a pipeline (direct option-resolver callers)
- *  anchor here. */
-void
-ApplyStopRequest(const ScheduleRequest &request, SearchDriverOptions *driver)
+/**
+ * The one profile -> options map behind both resolvers: the profile's
+ * preset, then the request's objective, driver and warm-state
+ * overrides, and the driver pointed at the request's cancel flag,
+ * deadline cutoff and span tracer. The facade pre-resolves deadline_tp
+ * at pipeline start; requests built outside a pipeline (direct
+ * resolver callers) anchor here.
+ */
+template <typename Options>
+Options
+OptionsForRequest(const ScheduleRequest &request,
+                  Options (*quick)(std::uint64_t),
+                  Options (*standard)(std::uint64_t),
+                  Options (*full)(std::uint64_t))
 {
-    driver->cancel = request.cancel;
-    driver->trace = request.trace;
+    Options opts = request.profile == SearchProfile::kQuick
+                       ? quick(request.seed)
+                   : request.profile == SearchProfile::kFull
+                       ? full(request.seed)
+                       : standard(request.seed);
+    opts.cost_n = request.cost_n;
+    opts.cost_m = request.cost_m;
+    if (request.chains > 0) opts.driver.chains = request.chains;
+    if (request.threads > 0) opts.driver.threads = request.threads;
+    opts.warm = request.warm_state;
+    opts.driver.cancel = request.cancel;
+    opts.driver.trace = request.trace;
     if (request.deadline_tp.time_since_epoch().count() != 0) {
-        driver->deadline = request.deadline_tp;
+        opts.driver.deadline = request.deadline_tp;
     } else if (request.deadline_ms > 0) {
-        driver->deadline = obs::MonotonicNow() +
-                           std::chrono::milliseconds(request.deadline_ms);
+        opts.driver.deadline =
+            obs::MonotonicNow() +
+            std::chrono::milliseconds(request.deadline_ms);
     }
+    return opts;
 }
 
 }  // namespace
@@ -503,49 +522,15 @@ ApplyStopRequest(const ScheduleRequest &request, SearchDriverOptions *driver)
 SomaOptions
 SomaOptionsForRequest(const ScheduleRequest &request)
 {
-    SomaOptions opts;
-    switch (request.profile) {
-      case SearchProfile::kQuick:
-        opts = QuickSomaOptions(request.seed);
-        break;
-      case SearchProfile::kDefault:
-        opts = DefaultSomaOptions(request.seed);
-        break;
-      case SearchProfile::kFull:
-        opts = FullSomaOptions(request.seed);
-        break;
-    }
-    opts.cost_n = request.cost_n;
-    opts.cost_m = request.cost_m;
-    if (request.chains > 0) opts.driver.chains = request.chains;
-    if (request.threads > 0) opts.driver.threads = request.threads;
-    opts.warm = request.warm_state;
-    ApplyStopRequest(request, &opts.driver);
-    return opts;
+    return OptionsForRequest(request, QuickSomaOptions, DefaultSomaOptions,
+                             FullSomaOptions);
 }
 
 CoccoOptions
 CoccoOptionsForRequest(const ScheduleRequest &request)
 {
-    CoccoOptions opts;
-    switch (request.profile) {
-      case SearchProfile::kQuick:
-        opts = QuickCoccoOptions(request.seed);
-        break;
-      case SearchProfile::kDefault:
-        opts = DefaultCoccoOptions(request.seed);
-        break;
-      case SearchProfile::kFull:
-        opts = FullCoccoOptions(request.seed);
-        break;
-    }
-    opts.cost_n = request.cost_n;
-    opts.cost_m = request.cost_m;
-    if (request.chains > 0) opts.driver.chains = request.chains;
-    if (request.threads > 0) opts.driver.threads = request.threads;
-    opts.warm = request.warm_state;
-    ApplyStopRequest(request, &opts.driver);
-    return opts;
+    return OptionsForRequest(request, QuickCoccoOptions,
+                             DefaultCoccoOptions, FullCoccoOptions);
 }
 
 }  // namespace soma

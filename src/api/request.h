@@ -38,9 +38,6 @@ namespace obs {
 class Tracer;
 }
 
-/** Search effort presets mapping onto the DESIGN.md budget table. */
-enum class SearchProfile { kQuick, kDefault, kFull };
-
 const char *ToString(SearchProfile profile);
 bool ParseSearchProfile(const std::string &name, SearchProfile *out);
 
@@ -288,7 +285,8 @@ bool ReportFromJson(const Json &json, EvalReport *out, std::string *err);
  */
 SomaOptions SomaOptionsForRequest(const ScheduleRequest &request);
 
-/** The Cocco-baseline equivalent (mirrors the bench profiles). */
+/** The Cocco-baseline equivalent (Quick/Default/FullCoccoOptions +
+ *  the same overrides). */
 CoccoOptions CoccoOptionsForRequest(const ScheduleRequest &request);
 
 }  // namespace soma

@@ -55,11 +55,11 @@ struct CoccoResult {
 /** A quick profile mirroring QuickSomaOptions. */
 CoccoOptions QuickCoccoOptions(std::uint64_t seed = 1);
 
-/** The default evaluation profile used by the benches. */
+/** The default profile mirroring DefaultSomaOptions. */
 CoccoOptions DefaultCoccoOptions(std::uint64_t seed = 1);
 
-/** Paper-fidelity budgets mirroring FullSomaOptions: the benches' and
- *  the API's "full" profile. */
+/** Paper-fidelity budgets mirroring FullSomaOptions: the full
+ *  profile. */
 CoccoOptions FullCoccoOptions(std::uint64_t seed = 1);
 
 /** Run the Cocco exploration. */

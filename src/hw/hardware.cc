@@ -1,8 +1,5 @@
 #include "hw/hardware.h"
 
-#include <cassert>
-#include <cmath>
-
 namespace soma {
 
 HardwareConfig
@@ -35,41 +32,6 @@ CloudAccelerator()
     hw.l0_act_bytes = 64 * 1024;
     hw.l0_out_bytes = 64 * 1024;
     return hw;
-}
-
-HardwareConfig
-WithBufferAndBandwidth(const HardwareConfig &base, Bytes gbuf_bytes,
-                       double dram_gbps)
-{
-    HardwareConfig hw;
-    std::string err;
-    if (!ScaledHardware(base, gbuf_bytes, dram_gbps, &hw, &err)) {
-        assert(!"WithBufferAndBandwidth: invalid scaling arguments");
-        return base;
-    }
-    return hw;
-}
-
-bool
-ScaledHardware(const HardwareConfig &base, Bytes gbuf_bytes,
-               double dram_gbps, HardwareConfig *out, std::string *err)
-{
-    if (gbuf_bytes <= 0) {
-        if (err)
-            *err = "invalid gbuf_bytes " + std::to_string(gbuf_bytes) +
-                   ": must be a positive byte count";
-        return false;
-    }
-    if (!std::isfinite(dram_gbps) || dram_gbps <= 0.0) {
-        if (err)
-            *err = "invalid dram_gbps " + std::to_string(dram_gbps) +
-                   ": must be positive and finite";
-        return false;
-    }
-    *out = base;
-    out->gbuf_bytes = gbuf_bytes;
-    out->dram_gbps = dram_gbps;
-    return true;
 }
 
 }  // namespace soma

@@ -99,25 +99,6 @@ HardwareConfig EdgeAccelerator();
  */
 HardwareConfig CloudAccelerator();
 
-/**
- * Copy of @p base with a different GBUF size / DRAM bandwidth (DSE).
- * Arguments must be positive and finite; invalid values are rejected
- * (see ScaledHardware) — passing them here is a programming error and
- * asserts in debug builds, returning @p base unchanged otherwise.
- */
-HardwareConfig WithBufferAndBandwidth(const HardwareConfig &base,
-                                      Bytes gbuf_bytes, double dram_gbps);
-
-/**
- * Validated scaling: copy of @p base with the given GBUF size and DRAM
- * bandwidth, rejecting zero/negative/non-finite arguments with a clear
- * error instead of letting NaN/inf timings leak into the evaluator.
- * Returns false and sets @p err on rejection (@p out untouched).
- */
-bool ScaledHardware(const HardwareConfig &base, Bytes gbuf_bytes,
-                    double dram_gbps, HardwareConfig *out,
-                    std::string *err);
-
 }  // namespace soma
 
 #endif  // SOMA_HW_HARDWARE_H

@@ -17,47 +17,28 @@ PropagateSomaOptions(SomaOptions opts)
     return opts;
 }
 
-const SomaProfileBudgets &
-SomaBudgetsFor(SomaProfile profile)
-{
-    // Default was raised from (40/6000, 40/8000) once the incremental
-    // LFA pipeline (group-memoized parse + shared tiling/tile-cost
-    // caches) lifted candidates/s; Full carries the paper's budgets
-    // (Sec. V-C): beta_1 = 100, beta_2 = 1000 — the caps only guard
-    // degenerate workloads (thousands of layers / tensors).
-    static const SomaProfileBudgets kQuick = {
-        /*lfa_beta=*/10,   /*lfa_max_iterations=*/600,
-        /*dlsa_beta=*/10,  /*dlsa_max_iterations=*/1500,
-        /*alloc_max_iterations=*/2,
-        /*bench_dlsa_iters=*/2000, /*bench_lfa_iters=*/200,
-        /*bench_stage_iters=*/1500};
-    static const SomaProfileBudgets kDefault = {
-        /*lfa_beta=*/60,   /*lfa_max_iterations=*/12000,
-        /*dlsa_beta=*/200, /*dlsa_max_iterations=*/24000,
-        /*alloc_max_iterations=*/3,
-        /*bench_dlsa_iters=*/10000, /*bench_lfa_iters=*/1000,
-        /*bench_stage_iters=*/6000};
-    static const SomaProfileBudgets kFull = {
-        /*lfa_beta=*/100,   /*lfa_max_iterations=*/50000,
-        /*dlsa_beta=*/1000, /*dlsa_max_iterations=*/150000,
-        /*alloc_max_iterations=*/5,
-        /*bench_dlsa_iters=*/50000, /*bench_lfa_iters=*/4000,
-        /*bench_stage_iters=*/20000};
-    switch (profile) {
-      case SomaProfile::kQuick:
-        return kQuick;
-      case SomaProfile::kFull:
-        return kFull;
-      case SomaProfile::kDefault:
-      default:
-        return kDefault;
-    }
-}
-
 namespace {
 
+/** One profile's iteration budgets (DESIGN.md "SA budgets"). */
+struct ProfileBudgets {
+    int lfa_beta = 0;
+    int lfa_max_iterations = 0;
+    int dlsa_beta = 0;
+    int dlsa_max_iterations = 0;
+    int alloc_max_iterations = 0;
+};
+
+// Default was raised from (40/6000, 40/8000) once the incremental LFA
+// pipeline (group-memoized parse + shared tiling/tile-cost caches)
+// lifted candidates/s; Full carries the paper's budgets (Sec. V-C):
+// beta_1 = 100, beta_2 = 1000 — the caps only guard degenerate
+// workloads (thousands of layers / tensors).
+constexpr ProfileBudgets kQuickBudgets = {10, 600, 10, 1500, 2};
+constexpr ProfileBudgets kDefaultBudgets = {60, 12000, 200, 24000, 3};
+constexpr ProfileBudgets kFullBudgets = {100, 50000, 1000, 150000, 5};
+
 SomaOptions
-OptionsFromBudgets(const SomaProfileBudgets &b, std::uint64_t seed)
+OptionsFromBudgets(const ProfileBudgets &b, std::uint64_t seed)
 {
     SomaOptions opts;
     opts.seed = seed;
@@ -74,14 +55,13 @@ OptionsFromBudgets(const SomaProfileBudgets &b, std::uint64_t seed)
 SomaOptions
 QuickSomaOptions(std::uint64_t seed)
 {
-    return OptionsFromBudgets(SomaBudgetsFor(SomaProfile::kQuick), seed);
+    return OptionsFromBudgets(kQuickBudgets, seed);
 }
 
 SomaOptions
 DefaultSomaOptions(std::uint64_t seed)
 {
-    SomaOptions opts =
-        OptionsFromBudgets(SomaBudgetsFor(SomaProfile::kDefault), seed);
+    SomaOptions opts = OptionsFromBudgets(kDefaultBudgets, seed);
     opts.driver.chains = 4;
     return opts;
 }
@@ -89,8 +69,7 @@ DefaultSomaOptions(std::uint64_t seed)
 SomaOptions
 FullSomaOptions(std::uint64_t seed)
 {
-    SomaOptions opts =
-        OptionsFromBudgets(SomaBudgetsFor(SomaProfile::kFull), seed);
+    SomaOptions opts = OptionsFromBudgets(kFullBudgets, seed);
     opts.driver.chains = 4;
     return opts;
 }

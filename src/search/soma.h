@@ -41,30 +41,9 @@ struct SomaOptions {
     BufferAllocatorOptions alloc;
 };
 
-/** The three canonical search profiles (quick/default/full). */
-enum class SomaProfile { kQuick, kDefault, kFull };
-
-/**
- * One profile's iteration budgets — the single source the
- * Quick/Default/FullSomaOptions presets and bench_sa_throughput's
- * profile table both draw from, so the facade and the bench can never
- * quote different budgets for the same profile name.
- */
-struct SomaProfileBudgets {
-    int lfa_beta = 0;
-    int lfa_max_iterations = 0;
-    int dlsa_beta = 0;
-    int dlsa_max_iterations = 0;
-    int alloc_max_iterations = 0;
-    /** bench_sa_throughput loop sizes at this profile: DLSA/LFA inner
-     *  walk iterations and the driver-stage per-chain iteration cap. */
-    int bench_dlsa_iters = 0;
-    int bench_lfa_iters = 0;
-    int bench_stage_iters = 0;
-};
-
-/** The budgets of @p profile (static storage, never changes). */
-const SomaProfileBudgets &SomaBudgetsFor(SomaProfile profile);
+/** Search effort presets mapping onto the DESIGN.md budget table —
+ *  the one profile enum of requests, the CLI and the benches. */
+enum class SearchProfile { kQuick, kDefault, kFull };
 
 /**
  * Copy of @p opts with the top-level cost exponents and driver config
@@ -75,14 +54,14 @@ const SomaProfileBudgets &SomaBudgetsFor(SomaProfile profile);
  */
 SomaOptions PropagateSomaOptions(SomaOptions opts);
 
-/** A quick profile for tests/examples: small SA budgets. */
+/** The quick profile: small SA budgets. */
 SomaOptions QuickSomaOptions(std::uint64_t seed = 1);
 
-/** The default evaluation profile used by the benches. */
+/** The default profile. */
 SomaOptions DefaultSomaOptions(std::uint64_t seed = 1);
 
-/** Paper-fidelity budgets (beta_1 = beta_2 = 100, 5 outer iterations):
- *  the benches' "full" profile. */
+/** Paper-fidelity budgets (beta_1 = 100, beta_2 = 1000, 5 outer
+ *  iterations): the full profile. */
 SomaOptions FullSomaOptions(std::uint64_t seed = 1);
 
 /** Run the full two-stage, buffer-allocated exploration. Cost exponents

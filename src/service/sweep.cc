@@ -1,7 +1,13 @@
 #include "service/sweep.h"
 
 #include <cmath>
+#include <cstdio>
 #include <iterator>
+#include <sstream>
+
+#include "common/hash.h"
+#include "search/driver.h"
+#include "service/service.h"
 
 namespace soma {
 
@@ -26,6 +32,15 @@ constexpr SweepAxis kSweepAxes[] = {
     {"seeds", "seed"},
 };
 constexpr std::size_t kNumAxes = std::size(kSweepAxes);
+
+/** Round-trippable text of a double (17 significant digits). */
+std::string
+ExactDouble(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
 
 }  // namespace
 
@@ -92,6 +107,79 @@ ExpandSweepSpec(const Json &spec, std::vector<ScheduleRequest> *requests,
         }
         if (a == 0) return true;
     }
+}
+
+std::vector<SweepRow>
+RunSweep(SchedulerService &service,
+         const std::vector<ScheduleRequest> &requests, int jobs)
+{
+    std::vector<SweepRow> rows(requests.size());
+    RunOnWorkers(jobs, static_cast<int>(rows.size()), [&](int i) {
+        rows[i].request = requests[i];
+        rows[i].result = service.Schedule(rows[i].request);
+    });
+    return rows;
+}
+
+const char *
+RowStatus(const ScheduleResult &result)
+{
+    if (result.deadline_expired) return "deadline";
+    return result.ok ? "ok" : "error";
+}
+
+const char kSweepCsvHeader[] =
+    "fingerprint,model,batch,hardware,gbuf_bytes,dram_gbps,scheduler,"
+    "profile,seed,status,cost,latency,energy_j,dram_bytes,iterations";
+
+std::string
+CsvRow(const SweepRow &row)
+{
+    const ScheduleRequest &rq = row.request;
+    const ScheduleResult &rs = row.result;
+    std::ostringstream os;
+    os << HexU64(rq.Fingerprint()) << ',' << rq.model << ',' << rq.batch
+       << ',' << rq.hardware << ',' << rq.gbuf_bytes << ','
+       << ExactDouble(rq.dram_gbps) << ',' << rq.scheduler << ','
+       << ToString(rq.profile) << ',' << rq.seed << ','
+       << RowStatus(rs);
+    if (rs.ok) {
+        os << ',' << ExactDouble(rs.cost) << ','
+           << ExactDouble(rs.report.latency) << ','
+           << ExactDouble(rs.report.EnergyJ()) << ','
+           << rs.report.dram_bytes << ',' << rs.stats.iterations;
+    } else {
+        os << ",,,,,";
+    }
+    return os.str();
+}
+
+Json
+JsonRow(const SweepRow &row)
+{
+    const ScheduleRequest &rq = row.request;
+    const ScheduleResult &rs = row.result;
+    Json json = Json::Object();
+    json.Set("fingerprint", Json::Str(HexU64(rq.Fingerprint())));
+    json.Set("model", Json::Str(rq.model));
+    json.Set("batch", Json::Int(rq.batch));
+    json.Set("hardware", Json::Str(rq.hardware));
+    json.Set("gbuf_bytes", Json::Int(rq.gbuf_bytes));
+    json.Set("dram_gbps", Json::Number(rq.dram_gbps));
+    json.Set("scheduler", Json::Str(rq.scheduler));
+    json.Set("profile", Json::Str(ToString(rq.profile)));
+    json.Set("seed", Json::U64(rq.seed));
+    json.Set("status", Json::Str(RowStatus(rs)));
+    if (rs.ok) {
+        json.Set("cost", Json::Number(rs.cost));
+        json.Set("latency", Json::Number(rs.report.latency));
+        json.Set("energy_j", Json::Number(rs.report.EnergyJ()));
+        json.Set("dram_bytes", Json::Int(rs.report.dram_bytes));
+        json.Set("iterations", Json::Int(rs.stats.iterations));
+    } else {
+        json.Set("error", Json::Str(rs.error));
+    }
+    return json;
 }
 
 }  // namespace soma

@@ -5,9 +5,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <limits>
-#include <string>
-
 #include "hw/hardware.h"
 
 namespace soma {
@@ -46,40 +43,6 @@ TEST(Hardware, DramSecondsLinearInBytes)
     EXPECT_NEAR(hw.DramSeconds(16'000'000'000LL), 1.0, 1e-12);
     EXPECT_NEAR(hw.DramSeconds(1'000'000), 2.0 * hw.DramSeconds(500'000),
                 1e-15);
-}
-
-TEST(Hardware, WithBufferAndBandwidthOverridesOnlyThose)
-{
-    HardwareConfig base = EdgeAccelerator();
-    HardwareConfig hw = WithBufferAndBandwidth(base, 1234, 99.0);
-    EXPECT_EQ(hw.gbuf_bytes, 1234);
-    EXPECT_DOUBLE_EQ(hw.dram_gbps, 99.0);
-    EXPECT_EQ(hw.cores, base.cores);
-    EXPECT_DOUBLE_EQ(hw.PeakTops(), base.PeakTops());
-}
-
-TEST(Hardware, ScaledHardwareValidatesArguments)
-{
-    HardwareConfig base = EdgeAccelerator();
-    HardwareConfig out;
-    std::string err;
-
-    EXPECT_TRUE(ScaledHardware(base, 1234, 99.0, &out, &err)) << err;
-    EXPECT_EQ(out.gbuf_bytes, 1234);
-    EXPECT_DOUBLE_EQ(out.dram_gbps, 99.0);
-    EXPECT_EQ(out.cores, base.cores);
-
-    EXPECT_FALSE(ScaledHardware(base, 0, 99.0, &out, &err));
-    EXPECT_NE(err.find("gbuf_bytes"), std::string::npos) << err;
-    EXPECT_FALSE(ScaledHardware(base, -64, 99.0, &out, &err));
-    EXPECT_FALSE(ScaledHardware(base, 1234, 0.0, &out, &err));
-    EXPECT_NE(err.find("dram_gbps"), std::string::npos) << err;
-    EXPECT_FALSE(ScaledHardware(base, 1234, -1.0, &out, &err));
-    EXPECT_FALSE(ScaledHardware(
-        base, 1234, std::numeric_limits<double>::quiet_NaN(), &out, &err));
-    EXPECT_FALSE(ScaledHardware(
-        base, 1234, std::numeric_limits<double>::infinity(), &out, &err));
-    EXPECT_NE(err.find("finite"), std::string::npos) << err;
 }
 
 TEST(Hardware, VectorThroughputScalesWithCores)

@@ -5,7 +5,8 @@
  * the GraphCache, in-flight coalescing, the cache-determinism contract
  * (cached result == recomputed result, byte for byte), deadline
  * truncation, the iteration-granular cooperative cancellation that
- * backs Cancel()/deadline_ms, and the sweep grid-spec expansion.
+ * backs Cancel()/deadline_ms, and the sweep grid-spec expansion and
+ * executor.
  */
 #include <gtest/gtest.h>
 
@@ -949,6 +950,55 @@ TEST(Sweep, PointsAreDecodedByTheRequestDecoder)
         EXPECT_FALSE(ExpandSweepSpec(spec, &requests, &err)) << text;
         EXPECT_NE(err.find(field), std::string::npos) << err;
     }
+}
+
+TEST(Sweep, RunSweepRowsLandAtTheirExpansionIndexAtAnyJobCount)
+{
+    // No resnet50 schedule fits a 2 MB GBUF on the edge preset: that
+    // point is an error row and the sweep goes on. The expected table
+    // is what `somac sweep` printed for this spec before its executor
+    // moved into the library.
+    Json spec;
+    std::string err;
+    ASSERT_TRUE(Json::Parse(R"({
+        "base": {"model": "resnet50", "hardware": "edge",
+                 "profile": "quick"},
+        "gbuf_mb": [2, 8]})",
+                            &spec, &err))
+        << err;
+    std::vector<ScheduleRequest> requests;
+    ASSERT_TRUE(ExpandSweepSpec(spec, &requests, &err)) << err;
+    const std::string expected =
+        "fingerprint,model,batch,hardware,gbuf_bytes,dram_gbps,scheduler,"
+        "profile,seed,status,cost,latency,energy_j,dram_bytes,iterations\n"
+        "e1ebd654877d498d,resnet50,1,edge,2097152,0,soma,quick,1,error,,,,,"
+        "\n"
+        "a5ca9307b24df142,resnet50,1,edge,8388608,0,soma,quick,1,ok,"
+        "3.1925262198330068e-06,0.0016451465000000001,"
+        "0.0019405725993600002,25657800,4660\n";
+
+    std::string json_rows[2];
+    for (int run = 0; run < 2; ++run) {
+        const int jobs = run == 0 ? 1 : 4;
+        SchedulerService service;
+        const std::vector<SweepRow> rows = RunSweep(service, requests, jobs);
+        ASSERT_EQ(rows.size(), requests.size()) << "jobs " << jobs;
+        std::string table = std::string(kSweepCsvHeader) + "\n";
+        Json array = Json::Array();
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            EXPECT_EQ(rows[i].request.Fingerprint(),
+                      requests[i].Fingerprint())
+                << "jobs " << jobs << " row " << i;
+            table += CsvRow(rows[i]) + "\n";
+            array.Append(JsonRow(rows[i]));
+        }
+        EXPECT_STREQ(RowStatus(rows[0].result), "error");
+        EXPECT_EQ(rows[0].result.error, "no valid schedule found");
+        EXPECT_STREQ(RowStatus(rows[1].result), "ok");
+        EXPECT_EQ(table, expected) << "jobs " << jobs;
+        json_rows[run] = array.Dump(2);
+    }
+    EXPECT_EQ(json_rows[0], json_rows[1]);
 }
 
 }  // namespace

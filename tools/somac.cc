@@ -39,7 +39,6 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
-#include "search/driver.h"
 #include "service/service.h"
 #include "service/sweep.h"
 
@@ -532,85 +531,6 @@ CmdFingerprint(const std::vector<std::string> &args)
 
 // ------------------------------------------------------------------ sweep
 
-/** One expanded grid point with its (deterministic) table row. */
-struct SweepRow {
-    ScheduleRequest request;
-    ScheduleResult result;
-};
-
-std::string
-FormatDouble(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-const char *
-RowStatus(const ScheduleResult &result)
-{
-    // "deadline" rows with numbers carry a truncated-but-valid scheme;
-    // without numbers the deadline passed before anything was found.
-    if (result.deadline_expired) return "deadline";
-    return result.ok ? "ok" : "error";
-}
-
-/** One table row. Only deterministic fields appear — no timings, no
- *  cache provenance — so a warm re-run emits identical bytes. */
-std::string
-CsvRow(const SweepRow &row)
-{
-    const ScheduleRequest &rq = row.request;
-    const ScheduleResult &rs = row.result;
-    std::ostringstream os;
-    os << HexU64(rq.Fingerprint()) << ',' << rq.model << ',' << rq.batch
-       << ',' << rq.hardware << ',' << rq.gbuf_bytes << ','
-       << FormatDouble(rq.dram_gbps) << ',' << rq.scheduler << ','
-       << ToString(rq.profile) << ',' << rq.seed << ','
-       << RowStatus(rs);
-    if (rs.ok) {
-        os << ',' << FormatDouble(rs.cost) << ','
-           << FormatDouble(rs.report.latency) << ','
-           << FormatDouble(rs.report.EnergyJ()) << ','
-           << rs.report.dram_bytes << ',' << rs.stats.iterations;
-    } else {
-        os << ",,,,,";
-    }
-    return os.str();
-}
-
-Json
-JsonRow(const SweepRow &row)
-{
-    const ScheduleRequest &rq = row.request;
-    const ScheduleResult &rs = row.result;
-    Json json = Json::Object();
-    json.Set("fingerprint", Json::Str(HexU64(rq.Fingerprint())));
-    json.Set("model", Json::Str(rq.model));
-    json.Set("batch", Json::Int(rq.batch));
-    json.Set("hardware", Json::Str(rq.hardware));
-    json.Set("gbuf_bytes", Json::Int(rq.gbuf_bytes));
-    json.Set("dram_gbps", Json::Number(rq.dram_gbps));
-    json.Set("scheduler", Json::Str(rq.scheduler));
-    json.Set("profile", Json::Str(ToString(rq.profile)));
-    json.Set("seed", Json::U64(rq.seed));
-    json.Set("status", Json::Str(RowStatus(rs)));
-    if (rs.ok) {
-        json.Set("cost", Json::Number(rs.cost));
-        json.Set("latency", Json::Number(rs.report.latency));
-        json.Set("energy_j", Json::Number(rs.report.EnergyJ()));
-        json.Set("dram_bytes", Json::Int(rs.report.dram_bytes));
-        json.Set("iterations", Json::Int(rs.stats.iterations));
-    } else {
-        json.Set("error", Json::Str(rs.error));
-    }
-    return json;
-}
-
-constexpr const char *kSweepCsvHeader =
-    "fingerprint,model,batch,hardware,gbuf_bytes,dram_gbps,scheduler,"
-    "profile,seed,status,cost,latency,energy_j,dram_bytes,iterations";
-
 /** Parse "I/N" (0 <= I < N) for --shard. */
 bool
 ParseShardArg(const std::string &text, int *index, int *count)
@@ -776,22 +696,14 @@ CmdSweep(const std::vector<std::string> &args)
     std::optional<obs::ProfEnableScope> prof_hold;
     if (!trace_path.empty() || !stats_path.empty()) prof_hold.emplace();
 
+    if (!trace_path.empty())
+        for (ScheduleRequest &request : requests) request.trace = &tracer;
+
     const auto t0 = obs::MonotonicNow();
-    std::vector<SweepRow> rows(requests.size());
+    std::vector<SweepRow> rows;
     std::string first_table;
     for (int pass = 0; pass < repeat; ++pass) {
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            rows[i].request = requests[i];
-            if (!trace_path.empty()) rows[i].request.trace = &tracer;
-            rows[i].result = ScheduleResult{};
-        }
-
-        // Work-stealing over the grid; rows land at their expansion
-        // index, so the table order never depends on jobs or
-        // completion order.
-        RunOnWorkers(jobs, static_cast<int>(rows.size()), [&](int i) {
-            rows[i].result = service.Schedule(rows[i].request);
-        });
+        rows = RunSweep(service, requests, jobs);
 
         // The determinism self-check behind --repeat: every pass over
         // one grid — cold, result-cache-warm, warm-state-warm — must
